@@ -1,6 +1,6 @@
 """Classical reference models: the binomial walk on a line, the correlation
 coefficient of a pair of coins, and exact or sampled walks driven by a
-correlated coin pair.
+correlated coin pair (the binomial walk is the maximally correlated one).
 
 Outcomes of a coin-pair toss are keyed "hh", "ht", "th", "tt" (first symbol
 is coin 1).  The move map assigns an integer displacement to each outcome;
@@ -33,6 +33,8 @@ OUTCOMES = ("hh", "ht", "th", "tt")
 DEFAULT_MOVES = {"hh": 1, "ht": 0, "th": 0, "tt": -1}
 
 _SUM_TOL = 1e-12
+
+MAX_WINDOW_SITES = 10_000_000  # window cap; at most three float64 arrays this long are live
 
 
 @dataclass(frozen=True)
@@ -73,21 +75,12 @@ class JointCoinDistribution:
 def binomial_walk_distribution(n: int, p: float) -> Distribution:
     """Exact n-step distribution of the independent ±1 walk.
 
-    Each step moves +1 with probability ``p``, else -1, so position k is
-    reached by h = (k + n)/2 up-steps: P(k) = C(n, h) p^h (1-p)^(n-h).
-    Support is {-n, -n+2, ..., n}; all other positions have probability 0.
-    Binomial coefficients are exact integers, so this stays accurate at
-    n = 200 where naive factorials would overflow.
+    Each step moves +1 with probability ``p``, else -1: the maximally
+    correlated pair walk with P(hh) = p, P(tt) = 1 - p and ``DEFAULT_MOVES``.
     """
-    if n < 0:
-        raise ValueError(f"step count must be nonnegative, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"step probability must lie in [0, 1], got {p}")
-    q = 1.0 - p
-    probs = {}
-    for h in range(n + 1):
-        probs[2 * h - n] = float(math.comb(n, h)) * p**h * q ** (n - h)
-    return Distribution(probs)
+    return correlated_walk_distribution(n, JointCoinDistribution(p, 0.0, 0.0, 1.0 - p))
 
 
 def correlation(j: JointCoinDistribution) -> float:
@@ -111,12 +104,11 @@ def correlation(j: JointCoinDistribution) -> float:
     return cov / math.sqrt(var1 * var2)
 
 
-def _step_distribution(j: JointCoinDistribution, moves: dict) -> dict[int, float]:
-    step: dict[int, float] = {}
-    for outcome, prob in zip(_checked_outcomes(moves), j.outcome_probs()):
-        d = int(moves[outcome])
-        step[d] = step.get(d, 0.0) + prob
-    return step
+def _read_moves(moves: dict) -> tuple[int, ...]:
+    missing = [o for o in OUTCOMES if o not in moves]
+    if missing:
+        raise ValueError(f"move map must cover all four outcomes, missing {missing}")
+    return tuple(int(moves[o]) for o in OUTCOMES)
 
 
 def correlated_walk_distribution(
@@ -124,23 +116,36 @@ def correlated_walk_distribution(
 ) -> Distribution:
     """Exact n-step distribution of the walk driven by a correlated pair.
 
-    Convolves the single-step displacement distribution n times by dynamic
-    programming; no sampling is involved.
+    Sums the walk on a float64 window over the sites ``n*lo + g*i``, 0 <= i
+    <= n*span/g (``lo``: smallest move, ``span``: range of the moves, ``g``:
+    gcd of their offsets from ``lo``), by one weighted slice add per
+    displacement and step; these direct sums keep unreachable sites exactly
+    0.  The support is the positions with probability > 0.  A window above
+    ``MAX_WINDOW_SITES`` sites raises ValueError before allocation.
     """
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
-    step = _step_distribution(j, moves)
-    current = {0: 1.0}
-    for _ in range(n):
-        nxt: dict[int, float] = {}
-        for pos, prob in current.items():
-            for d, w in step.items():
-                if w == 0.0:
-                    continue
-                key = pos + d
-                nxt[key] = nxt.get(key, 0.0) + prob * w
-        current = nxt
-    return Distribution(current)
+    step_moves = _read_moves(moves)
+    lo = min(step_moves)
+    g = math.gcd(*(d - lo for d in step_moves)) or 1
+    span = (max(step_moves) - lo) // g
+    if n * span + 1 > MAX_WINDOW_SITES:
+        raise ValueError(f"window of {n * span + 1} sites exceeds {MAX_WINDOW_SITES=}")
+    step: dict[int, float] = {}  # window offset -> probability, offsets ascending
+    for d, prob in sorted(zip(step_moves, j.outcome_probs())):
+        if prob > 0.0:
+            step[(d - lo) // g] = step.get((d - lo) // g, 0.0) + prob
+    current, nxt = np.zeros(n * span + 1), np.empty(n * span + 1)
+    current[0] = 1.0
+    for t in range(n):
+        width = t * span + 1  # window sites in use after t steps
+        nxt[: width + span] = 0.0
+        for offset, w in step.items():
+            target = nxt[offset : offset + width]
+            target += current[:width] * w
+        current, nxt = nxt, current
+    support = (current > 0.0).nonzero()[0].tolist()
+    return Distribution({n * lo + g * i: float(current[i]) for i in support})
 
 
 def sample_walk(n: int, j: JointCoinDistribution, moves: dict = DEFAULT_MOVES, seed: int = 0) -> int:
@@ -151,7 +156,7 @@ def sample_walk(n: int, j: JointCoinDistribution, moves: dict = DEFAULT_MOVES, s
     """
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
-    step_moves = np.array([int(moves[o]) for o in _checked_outcomes(moves)])
+    step_moves = np.array(_read_moves(moves))
     rng = np.random.default_rng(seed)
     draws = rng.choice(4, size=n, p=np.array(j.outcome_probs()))
     return int(np.sum(step_moves[draws]))
@@ -171,14 +176,7 @@ def sample_endpoints(
         raise ValueError(f"step count must be nonnegative, got {n}")
     if count < 0:
         raise ValueError(f"sample count must be nonnegative, got {count}")
-    step_moves = np.array([int(moves[o]) for o in _checked_outcomes(moves)])
+    step_moves = np.array(_read_moves(moves))
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n, np.array(j.outcome_probs()), size=count)
     return counts @ step_moves
-
-
-def _checked_outcomes(moves: dict) -> tuple[str, ...]:
-    missing = [o for o in OUTCOMES if o not in moves]
-    if missing:
-        raise ValueError(f"move map must cover all four outcomes, missing {missing}")
-    return OUTCOMES

@@ -53,7 +53,7 @@ def _as_complex_matrix(entries) -> np.ndarray:
     m = np.array(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m.view(float)).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -93,7 +93,7 @@ class CoinState:
             raise ValueError(
                 f"expected {2**self.qubits} amplitudes for {self.qubits} qubit(s), got {amps.shape[0]}"
             )
-        if not np.all(np.isfinite(amps.view(float))):
+        if not np.isfinite(amps.view(float)).all():
             raise ValueError("amplitudes must be finite")
         norm_sq = float(np.vdot(amps, amps).real)
         if abs(norm_sq - 1.0) > UNITARITY_TOL:
@@ -178,7 +178,7 @@ class WalkState:
             v = np.array(vec, dtype=complex).reshape(-1)
             if v.shape[0] != dim:
                 raise ValueError(f"coin vector at {key} has length {v.shape[0]}, expected {dim}")
-            if not np.all(np.isfinite(v.view(float))):
+            if not np.isfinite(v.view(float)).all():
                 raise ValueError(f"coin vector at {key} has non-finite entries")
             v.flags.writeable = False
             frozen[key] = v
@@ -217,7 +217,7 @@ class Distribution:
         total = 0.0
         for label, p in self.probs.items():
             p = float(p)
-            if not np.isfinite(p) or p < 0.0:
+            if not 0.0 <= p < float("inf"):
                 raise ValueError(f"invalid probability {p!r} at {label!r}")
             key = tuple(int(x) for x in label) if isinstance(label, (tuple, list)) else int(label)
             clean[key] = p

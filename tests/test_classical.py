@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from entwalk.classical import (
     DEFAULT_MOVES,
+    MAX_WINDOW_SITES,
     JointCoinDistribution,
     binomial_walk_distribution,
     correlated_walk_distribution,
@@ -62,17 +63,32 @@ def test_binomial_zero_steps():
 def test_binomial_biased():
     d = binomial_walk_distribution(2, 1.0)
     assert d[2] == 1.0
+    assert d.support() == [2]
     d = binomial_walk_distribution(2, 0.0)
     assert d[-2] == 1.0
+    assert d.support() == [-2]
 
 
-@pytest.mark.parametrize("n", [1, 7, 50, 200])
+@pytest.mark.parametrize("n", [1, 7, 50, 200, 1100, 2000])
 def test_binomial_matches_exact_fractions(n):
+    # from n ~ 1075 on the tails underflow float64 and leave the support
     d = binomial_walk_distribution(n, 0.5)
     exact = exact_binomial_walk(n, Fraction(1, 2))
     for k, frac in exact.items():
         assert d[k] == pytest.approx(float(frac), abs=1e-15)
+    assert d.support() == sorted(k for k, frac in exact.items() if float(frac) > 0)
     assert sum(p for _, p in d.items_sorted()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_binomial_ten_thousand_steps():
+    # spot checks only: the full rational oracle is far too slow at this size
+    n = 10_000
+    d = binomial_walk_distribution(n, 0.5)
+    assert math.fsum(p for _, p in d.items_sorted()) == pytest.approx(1.0, abs=1e-12)
+    assert all((k + n) % 2 == 0 for k in d.support())
+    for k in (0, 100, -100, 1000, -1000):
+        exact = float(Fraction(math.comb(n, (k + n) // 2), 2**n))
+        assert d[k] == pytest.approx(exact, rel=1e-11)
 
 
 @pytest.mark.parametrize("n", range(1, 51))
@@ -179,6 +195,29 @@ def test_correlated_walk_matches_enumeration(n, x, y):
 def test_correlated_walk_requires_full_move_map():
     with pytest.raises(ValueError, match="missing"):
         correlated_walk_distribution(1, FAIR_INDEPENDENT, {"hh": 1})
+
+
+def test_correlated_walk_scaled_moves_scale_positions():
+    # the window follows the lattice of the moves, so huge but commensurate
+    # moves cost no more than the default ones
+    j = JointCoinDistribution.from_correlation(0.5)
+    big = {"hh": 10**6, "ht": 0, "th": 0, "tt": -(10**6)}
+    scaled = correlated_walk_distribution(100, j, big)
+    unit = correlated_walk_distribution(100, j, DEFAULT_MOVES)
+    assert scaled.probs == {k * 10**6: p for k, p in unit.probs.items()}
+
+
+@pytest.mark.parametrize(
+    "n, moves",
+    [
+        (100, {"hh": 10**9, "ht": 1, "th": 0, "tt": -1}),
+        (1, {"hh": MAX_WINDOW_SITES, "ht": 1, "th": 0, "tt": 0}),
+    ],
+)
+def test_correlated_walk_refuses_window_over_cap(n, moves):
+    # refused before allocation: these windows hold 10**11 and cap + 1 sites
+    with pytest.raises(ValueError, match="window"):
+        correlated_walk_distribution(n, FAIR_INDEPENDENT, moves)
 
 
 def test_sample_walk_deterministic_outcome():

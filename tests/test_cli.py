@@ -1,13 +1,20 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entwalk.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VALIDATION,
+    ParseError,
+    ValidationError,
+    _build_experiment,
+    _walk_config,
     console_main,
     emit_distribution,
     run,
@@ -17,6 +24,7 @@ from entwalk.coins import build_coin_operator, build_initial_coin
 from entwalk.core import Distribution
 from entwalk.engine import WalkConfig, evolve, position_distribution
 from entwalk.shifts import build_shift
+from oracles import exact_binomial_walk
 
 QUANTUM_BASE = """
 [experiment]
@@ -153,6 +161,40 @@ def test_classical_correlated_mode(tmp_path):
     expected = binomial_walk_distribution(60, 0.5)
     for k in expected.support():
         assert got[k] == pytest.approx(expected[k], abs=1e-12)
+
+
+def test_classical_binomial_past_float_overflow_of_binomial_coefficients(tmp_path):
+    out = tmp_path / "cls.csv"
+    cfg = write_config(
+        tmp_path,
+        f"[experiment]\nmode = classical\noutput_format = csv\noutput = {out}\n"
+        "[classical]\nmodel = binomial\nn = 2000\np = 0.5\n",
+    )
+    assert run(cfg, quiet=True) == EXIT_OK
+    rows = [int(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+    exact = exact_binomial_walk(2000, Fraction(1, 2))
+    assert rows == sorted(k for k, p in exact.items() if float(p) > 0)
+
+
+def test_classical_rows_have_positive_probability(tmp_path):
+    out = tmp_path / "cls.json"
+    cfg = write_config(
+        tmp_path,
+        f"[experiment]\nmode = classical\noutput_format = json\noutput = {out}\n"
+        "[classical]\nmodel = correlated\nn = 1100\nrho = 0.5\n",
+    )
+    assert run(cfg, quiet=True) == EXIT_OK
+    probs = [p for _, p in json.loads(out.read_text())["distribution"]]
+    assert probs and all(p > 0.0 for p in probs)
+
+
+def test_classical_window_over_cap_is_a_validation_error(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        "[experiment]\nmode = classical\noutput_format = csv\n"
+        "[classical]\nn = 100\nrho = 1.0\nmoves = hh:1000000000, ht:1, th:0, tt:-1\n",
+    )
+    assert run(cfg, quiet=True) == EXIT_VALIDATION
 
 
 def test_compare_mode_columns_match_standalone_runs(tmp_path):
@@ -383,8 +425,6 @@ def test_console_main_runs_subcommand(tmp_path, capsys):
 
 
 def test_emit_distribution_rejects_unknown_format(tmp_path):
-    from entwalk.cli import ValidationError
-
     with pytest.raises(ValidationError):
         emit_distribution(Distribution({0: 1.0}), "yaml", str(tmp_path / "x"))
 
@@ -393,3 +433,31 @@ def test_emit_distribution_single_site(tmp_path):
     path = tmp_path / "one.csv"
     emit_distribution(Distribution({0: 1.0}), "csv", str(path))
     assert path.read_text() == "position,probability\n0,1\n"
+
+
+# Keys whose values the config parser reads inline, each with the settings
+# under which the value is used.
+INLINE_KEYS = {
+    "coin_amplitudes": {"coin": "custom"},
+    "coin_matrix": {"coin_operator": "custom"},
+    "shift_table": {"shift": "custom"},
+    "initial_position": {},
+    "positions": {},
+    "steps": {},
+    "cut": {},
+    "moves": {},
+}
+
+
+@pytest.mark.parametrize("key", sorted(INLINE_KEYS))
+@settings(deadline=None, max_examples=150)
+@given(text=st.text() | st.text(alphabet="0123456789 ()+-.,;:eEjinfaht"))
+def test_inline_values_fail_only_as_config_errors(key, text):
+    # builds the config and the walk description, but runs no walk
+    exp = {"mode": "quantum", **INLINE_KEYS[key]}
+    cls = {}
+    (cls if key == "moves" else exp)[key] = text
+    try:
+        _walk_config(_build_experiment(exp, cls))
+    except (ParseError, ValidationError):
+        pass
