@@ -36,6 +36,14 @@ _SUM_TOL = 1e-12
 
 MAX_WINDOW_SITES = 10_000_000  # window cap; at most three float64 arrays this long are live
 
+# Time cap on n steps over the full window: about 1 ns per site update on
+# one 2-vCPU host, so a minute or two of summing.
+MAX_WINDOW_UPDATES = 10**11
+
+# Site updates that one step's fixed cost is worth (~3.5 us a step), so a
+# walk whose window never grows is capped too.
+_STEP_OVERHEAD = 4096
+
 
 @dataclass(frozen=True)
 class JointCoinDistribution:
@@ -121,7 +129,9 @@ def correlated_walk_distribution(
     gcd of their offsets from ``lo``), by one weighted slice add per
     displacement and step; these direct sums keep unreachable sites exactly
     0.  The support is the positions with probability > 0.  A window above
-    ``MAX_WINDOW_SITES`` sites raises ValueError before allocation.
+    ``MAX_WINDOW_SITES`` sites, or n steps over the window (plus a fixed
+    cost per step) above ``MAX_WINDOW_UPDATES`` site updates, raises
+    ValueError before allocation.
     """
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
@@ -131,6 +141,10 @@ def correlated_walk_distribution(
     span = (max(step_moves) - lo) // g
     if n * span + 1 > MAX_WINDOW_SITES:
         raise ValueError(f"window of {n * span + 1} sites exceeds {MAX_WINDOW_SITES=}")
+    if n * (n * span + 1 + _STEP_OVERHEAD) > MAX_WINDOW_UPDATES:
+        raise ValueError(
+            f"{n} steps over a window of {n * span + 1} sites exceed {MAX_WINDOW_UPDATES=}"
+        )
     step: dict[int, float] = {}  # window offset -> probability, offsets ascending
     for d, prob in sorted(zip(step_moves, j.outcome_probs())):
         if prob > 0.0:

@@ -1,5 +1,6 @@
 """Shared containers for coin states, coin operators, joint walk states and
-probability distributions.
+probability distributions.  A joint walk state is one dense ``complex128``
+window of coin vectors over a box of the lattice.
 
 Amplitudes are plain ``complex128`` throughout.  Coin basis states are indexed
 by reading the ket label as a binary numeral with the leftmost symbol most
@@ -9,16 +10,21 @@ is used for operator rows/columns and for displacement tables.
 
 from __future__ import annotations
 
+import math
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "MAX_QUBITS",
+    "MAX_WINDOW_AMPLITUDES",
     "UNITARITY_TOL",
     "CoinOperator",
     "CoinState",
     "Distribution",
+    "SiteAmplitudes",
     "WalkState",
     "basis_index",
     "basis_label",
@@ -28,6 +34,10 @@ __all__ = [
 ]
 
 MAX_QUBITS = 3
+
+# Cap on the amplitudes of one walk-state window, 16 bytes each; a walk
+# step holds three windows of about this size.
+MAX_WINDOW_AMPLITUDES = 2**23
 
 # Construction-time tolerance for custom unitaries and state normalization.
 UNITARITY_TOL = 1e-12
@@ -151,38 +161,105 @@ def tensor_product(a: CoinOperator, b: CoinOperator) -> CoinOperator:
     return CoinOperator(np.kron(a.matrix, b.matrix))
 
 
+class SiteAmplitudes(Mapping):
+    """Read-only ``{position: coin vector}`` view of a dense amplitude window.
+
+    ``window`` is a read-only ``complex128`` array of shape
+    ``(extent..., 2**qubits)`` over a box of the lattice, and ``origin`` is
+    the lattice position of its index 0.  The keys are the sites with any
+    nonzero coin component, in sorted order; a key's value is its row of
+    the window.
+    """
+
+    __slots__ = ("window", "origin", "_mask", "_keys")
+
+    def __init__(self, window: np.ndarray, origin: tuple[int, ...]):
+        window.flags.writeable = False
+        self.window = window
+        self.origin = origin
+        self._mask = None
+        self._keys = None
+
+    def occupied(self) -> np.ndarray:
+        """Boolean array over the window's sites: any nonzero coin component."""
+        if self._mask is None:
+            self._mask = (self.window != 0).any(axis=-1)
+        return self._mask
+
+    def __getitem__(self, pos) -> np.ndarray:
+        try:
+            index = tuple(operator.index(x) - o for x, o in zip(pos, self.origin, strict=True))
+        except (TypeError, ValueError):
+            raise KeyError(pos) from None
+        if all(0 <= i < n for i, n in zip(index, self.window.shape)):
+            row = self.window[index]
+            if row.any():
+                return row
+        raise KeyError(pos)
+
+    def __iter__(self):
+        if self._keys is None:
+            hits = np.argwhere(self.occupied()).tolist()
+            self._keys = [tuple(i + o for i, o in zip(hit, self.origin)) for hit in hits]
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.occupied()))
+
+
+def _pack_sites(dims: int, qubits: int, sites) -> SiteAmplitudes:
+    """Validate a ``{position: coin vector}`` mapping and pack it into its bounding box."""
+    dim = 2**qubits
+    checked: dict[tuple[int, ...], np.ndarray] = {}
+    for pos, vec in sites.items():
+        key = tuple(int(x) for x in pos)
+        if len(key) != dims:
+            raise ValueError(f"position {pos} does not have {dims} component(s)")
+        v = np.array(vec, dtype=complex).reshape(-1)
+        if v.shape[0] != dim:
+            raise ValueError(f"coin vector at {key} has length {v.shape[0]}, expected {dim}")
+        if not np.isfinite(v.view(float)).all():
+            raise ValueError(f"coin vector at {key} has non-finite entries")
+        checked[key] = v
+    lo = tuple(min((k[a] for k in checked), default=0) for a in range(dims))
+    extent = tuple(max((k[a] for k in checked), default=-1) - lo[a] + 1 for a in range(dims))
+    if math.prod(extent) * dim > MAX_WINDOW_AMPLITUDES:
+        raise ValueError(f"bounding box of {extent} sites exceeds {MAX_WINDOW_AMPLITUDES=}")
+    window = np.zeros(extent + (dim,), dtype=complex)
+    for key, v in checked.items():
+        window[tuple(x - o for x, o in zip(key, lo))] = v
+    return SiteAmplitudes(window, lo)
+
+
 @dataclass(frozen=True)
 class WalkState:
-    """Joint walker/coin amplitude assignment, stored sparsely by position.
+    """Joint walker/coin amplitudes, held as one dense window of the lattice.
 
-    ``amplitudes`` maps a lattice position (tuple of ``dims`` ints) to the
-    complex coin vector of length ``2**qubits`` attached to that site.
-    Instances are treated as immutable values; evolution produces new ones.
+    ``amplitudes`` maps each lattice position (tuple of ``dims`` ints) with
+    any nonzero coin component to its complex coin vector of length
+    ``2**qubits``.  It is a read-only :class:`SiteAmplitudes` view over one
+    ``complex128`` array of shape ``(extent..., 2**qubits)``.  A dict passed
+    in is validated and packed into its bounding box; a view taken from
+    another state is adopted as it is.  Instances are immutable values;
+    evolution produces new ones.
     """
 
     dims: int
     qubits: int
-    amplitudes: dict[tuple[int, ...], np.ndarray] = field(default_factory=dict)
+    amplitudes: Mapping = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.dims not in (1, 2):
             raise ValueError(f"lattice dimensionality must be 1 or 2, got {self.dims}")
         if not 1 <= self.qubits <= MAX_QUBITS:
             raise ValueError(f"coin register must hold 1..{MAX_QUBITS} qubits, got {self.qubits}")
-        dim = 2**self.qubits
-        frozen: dict[tuple[int, ...], np.ndarray] = {}
-        for pos, vec in self.amplitudes.items():
-            key = tuple(int(x) for x in pos)
-            if len(key) != self.dims:
-                raise ValueError(f"position {pos} does not have {self.dims} component(s)")
-            v = np.array(vec, dtype=complex).reshape(-1)
-            if v.shape[0] != dim:
-                raise ValueError(f"coin vector at {key} has length {v.shape[0]}, expected {dim}")
-            if not np.isfinite(v.view(float)).all():
-                raise ValueError(f"coin vector at {key} has non-finite entries")
-            v.flags.writeable = False
-            frozen[key] = v
-        object.__setattr__(self, "amplitudes", frozen)
+        if not isinstance(self.amplitudes, SiteAmplitudes):
+            object.__setattr__(self, "amplitudes", _pack_sites(self.dims, self.qubits, self.amplitudes))
+        shape = self.amplitudes.window.shape
+        if len(shape) != self.dims + 1 or shape[-1] != 2**self.qubits:
+            raise ValueError(
+                f"window of shape {shape} does not hold {self.dims}D sites of {self.qubits} qubit(s)"
+            )
 
     def amplitude(self, position, coin_index: int) -> complex:
         """Amplitude at ``(position, coin_index)``; zero if the site is unoccupied."""
@@ -191,7 +268,7 @@ class WalkState:
         return complex(vec[coin_index]) if vec is not None else 0j
 
     def positions(self) -> list[tuple[int, ...]]:
-        return sorted(self.amplitudes)
+        return list(self.amplitudes)
 
     def norm(self) -> float:
         return state_norm(self)
@@ -199,7 +276,8 @@ class WalkState:
 
 def state_norm(state: WalkState) -> float:
     """Total probability weight ``sum |amplitude|^2`` of a walk state."""
-    return float(sum(np.vdot(v, v).real for v in state.amplitudes.values()))
+    window = state.amplitudes.window
+    return float(np.vdot(window, window).real)
 
 
 @dataclass(frozen=True)

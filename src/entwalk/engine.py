@@ -1,22 +1,33 @@
 """Walk evolution: compose a coin operator and a conditional shift into one
 step, iterate it, and read out marginal probability distributions.
 
-One step applies the coin unitary to the coin vector at every occupied
-position, then moves each component by the shift's displacement table.  No
-renormalization is ever applied, so any unitarity defect accumulates visibly
-in the state norm instead of being hidden.
+A state is one dense window of coin vectors (see :class:`WalkState`).  One
+step contracts the coin unitary with every site of the window in a single
+call, then copies each coin column into a fresh window grown by the shift's
+displacement range.  A walk too large for a window is refused before it
+starts.  No renormalization is ever applied, so any unitarity defect
+accumulates visibly in the state norm instead of being hidden.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoinOperator, CoinState, Distribution, WalkState
+from .core import (
+    MAX_WINDOW_AMPLITUDES,
+    CoinOperator,
+    CoinState,
+    Distribution,
+    SiteAmplitudes,
+    WalkState,
+)
 from .shifts import DisplacementTable, _shift_amplitudes
 
 __all__ = [
+    "MAX_WALK_WORK",
     "WalkConfig",
     "coin_distribution",
     "evolve",
@@ -25,6 +36,14 @@ __all__ = [
     "sample_positions",
     "step",
 ]
+
+# Cap on a walk's amplitude updates, summed over its steps: about 20-50
+# million a second on one 2-vCPU host, so a few minutes of stepping.
+MAX_WALK_WORK = 10**10
+
+# Amplitude updates that one step's fixed cost is worth (~15 us a step), so
+# a walk whose window never grows is capped too.
+_STEP_OVERHEAD = 512
 
 
 @dataclass(frozen=True)
@@ -79,45 +98,75 @@ def initial_state(cfg: WalkConfig) -> WalkState:
 
 
 def step(state: WalkState, coin_op: CoinOperator, shift: DisplacementTable) -> WalkState:
-    """One walk step: coin unitary on every site, then the conditional shift."""
+    """One walk step: coin unitary on every site of the window, then the conditional shift."""
     if coin_op.qubits != state.qubits:
         raise ValueError(f"operator acts on {coin_op.qubits} qubit(s), state holds {state.qubits}")
     if shift.qubits != state.qubits:
         raise ValueError(f"shift conditions on {shift.qubits} qubit(s), state holds {state.qubits}")
     if shift.dims != state.dims:
         raise ValueError(f"shift is {shift.dims}D, state is {state.dims}D")
-    mat = coin_op.matrix
-    tossed = {pos: mat @ vec for pos, vec in state.amplitudes.items()}
-    return WalkState(dims=state.dims, qubits=state.qubits, amplitudes=_shift_amplitudes(tossed, shift))
+    sites = state.amplitudes
+    # einsum, not a BLAS product (window @ matrix.T): its fused multiply-adds
+    # leave rounding residues where a site's components cancel exactly, and
+    # exact zeros define the support.
+    tossed = np.einsum("...j,ij->...i", sites.window, coin_op.matrix)
+    window, origin = _shift_amplitudes(tossed, sites.origin, shift)
+    return WalkState(dims=state.dims, qubits=state.qubits, amplitudes=SiteAmplitudes(window, origin))
+
+
+def _walk_cost(cfg: WalkConfig) -> tuple[int, int]:
+    """Amplitudes in the final window, and the walk's work in amplitude updates."""
+    n, dim = cfg.steps, cfg.coin_op.dim
+    r = [max(axis) - min(axis) for axis in zip(*cfg.shift.table)] + [0]
+    # Step t writes a window of prod_a (1 + t r_a) sites; sum it over t = 1..n.
+    s1, s2 = n * (n + 1) // 2, n * (n + 1) * (2 * n + 1) // 6
+    sites = n + (r[0] + r[1]) * s1 + r[0] * r[1] * s2
+    return dim * math.prod(1 + n * x for x in r), dim * sites + n * _STEP_OVERHEAD
 
 
 def evolve(cfg: WalkConfig) -> WalkState:
-    """State after ``cfg.steps`` applications of the step operator."""
+    """State after ``cfg.steps`` applications of the step operator.
+
+    Raises ValueError, before allocating anything, when the final window
+    would exceed ``MAX_WINDOW_AMPLITUDES`` or the whole walk ``MAX_WALK_WORK``.
+    """
+    window, work = _walk_cost(cfg)
+    if window > MAX_WINDOW_AMPLITUDES:
+        raise ValueError(
+            f"{cfg.steps} steps need a window of {window} amplitudes, over {MAX_WINDOW_AMPLITUDES=}"
+        )
+    if work > MAX_WALK_WORK:
+        raise ValueError(f"{cfg.steps} steps need {work} amplitude updates, over {MAX_WALK_WORK=}")
     state = initial_state(cfg)
     for _ in range(cfg.steps):
         state = step(state, cfg.coin_op, cfg.shift)
     return state
 
 
+def _weights(state: WalkState) -> np.ndarray:
+    window = state.amplitudes.window
+    return window.real**2 + window.imag**2
+
+
 def position_distribution(state: WalkState) -> Distribution:
     """Marginal over the coin: P(pos) = sum_c |amplitude(pos, c)|^2.
 
-    1D positions are labeled by plain ints, 2D positions by (x, y) tuples.
+    The support is the sites with any nonzero coin component.  1D positions
+    are labeled by plain ints, 2D positions by (x, y) tuples.
     """
-    probs = {}
-    for pos, vec in state.amplitudes.items():
-        label = pos[0] if state.dims == 1 else pos
-        probs[label] = float(np.vdot(vec, vec).real)
-    return Distribution(probs)
+    sites = state.amplitudes
+    hits = sites.occupied().nonzero()
+    probs = _weights(state).sum(axis=-1)[hits].tolist()
+    axes = [[i + o for i in hit.tolist()] for hit, o in zip(hits, sites.origin)]
+    labels = axes[0] if state.dims == 1 else zip(*axes)
+    return Distribution(dict(zip(labels, probs)))
 
 
 def coin_distribution(state: WalkState) -> Distribution:
     """Marginal over position: P(c) = sum_pos |amplitude(pos, c)|^2."""
     dim = 2**state.qubits
-    totals = np.zeros(dim)
-    for vec in state.amplitudes.values():
-        totals += np.abs(vec) ** 2
-    return Distribution({c: float(totals[c]) for c in range(dim) if totals[c] > 0.0})
+    totals = _weights(state).reshape(-1, dim).sum(axis=0).tolist()
+    return Distribution({c: p for c, p in enumerate(totals) if p > 0.0})
 
 
 def sample_positions(dist: Distribution, count: int, seed: int) -> list:

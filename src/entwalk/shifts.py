@@ -4,7 +4,8 @@ A conditional shift translates the walker by an integer displacement chosen
 by the coin basis state, leaving the coin untouched.  Any such operator is
 fully described by its per-basis-state displacement table; unitarity is
 structural (each (position, coin) basis state maps to a distinct one), so no
-numeric check is needed.
+numeric check is needed.  On a dense window of coin vectors the shift is one
+slice copy per coin column into a fresh, larger window.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_QUBITS, WalkState
+from .core import MAX_QUBITS, SiteAmplitudes, WalkState
 
 __all__ = [
     "SHIFT_PRESETS",
@@ -125,24 +126,20 @@ def build_shift(preset: str, custom_table=None) -> DisplacementTable:
 
 
 def _shift_amplitudes(
-    amplitudes: dict[tuple[int, ...], np.ndarray], table: DisplacementTable
-) -> dict[tuple[int, ...], np.ndarray]:
-    # Exact-zero components are skipped: absent entries of the sparse map
-    # already mean zero, so this changes nothing and keeps the support tight.
-    dim = 2**table.qubits
-    moved: dict[tuple[int, ...], np.ndarray] = {}
-    for pos, vec in amplitudes.items():
-        for c in range(dim):
-            a = vec[c]
-            if a == 0:
-                continue
-            target = tuple(p + d for p, d in zip(pos, table.table[c]))
-            slot = moved.get(target)
-            if slot is None:
-                slot = np.zeros(dim, dtype=complex)
-                moved[target] = slot
-            slot[c] = a
-    return moved
+    window: np.ndarray, origin: tuple[int, ...], table: DisplacementTable
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    # A fresh window, grown along each axis by the range of the table's
+    # displacements, takes each coin column by one slice copy; the input is
+    # never written.  Returns the new window and its origin.
+    lo = [min(axis) for axis in zip(*table.table)]
+    hi = [max(axis) for axis in zip(*table.table)]
+    extent = window.shape[:-1]
+    grown = tuple(n + h - l for n, h, l in zip(extent, hi, lo))
+    moved = np.zeros(grown + window.shape[-1:], dtype=complex)
+    for c, d in enumerate(table.table):
+        target = tuple(slice(x - l, x - l + n) for x, l, n in zip(d, lo, extent))
+        moved[target + (c,)] = window[..., c]
+    return moved, tuple(o + l for o, l in zip(origin, lo))
 
 
 def apply_shift(state: WalkState, table: DisplacementTable) -> WalkState:
@@ -161,6 +158,5 @@ def apply_shift(state: WalkState, table: DisplacementTable) -> WalkState:
         raise ValueError(f"shift acts on {table.qubits} qubit(s), state holds {state.qubits}")
     if table.dims != state.dims:
         raise ValueError(f"shift is {table.dims}D, state is {state.dims}D")
-    return WalkState(
-        dims=state.dims, qubits=state.qubits, amplitudes=_shift_amplitudes(state.amplitudes, table)
-    )
+    window, origin = _shift_amplitudes(state.amplitudes.window, state.amplitudes.origin, table)
+    return WalkState(dims=state.dims, qubits=state.qubits, amplitudes=SiteAmplitudes(window, origin))

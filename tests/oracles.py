@@ -3,8 +3,9 @@
 Each oracle recomputes a quantity through a different representation than
 the library uses, so shared bugs are unlikely:
 
-- dense window evolution: explicit matrices over a truncated position
-  window instead of the engine's sparse dict;
+- dense window evolution: explicit kron and permutation matrices over a
+  wrapped window of fixed size, instead of the engine's per-column coin
+  contraction and slice copies into a growing window;
 - entropy via closed-form 2x2 Gram eigenvalues instead of an SVD;
 - classical endpoint distribution by enumerating every outcome sequence
   instead of dynamic programming;

@@ -300,7 +300,7 @@ def test_criterion_7_oracle_equivalence_and_large_n_properties(capsys):
     announce(
         capsys,
         7,
-        "sparse engine matches dense oracle on all 42 combos; large-N properties hold",
+        "window engine matches dense oracle on all 42 combos; large-N properties hold",
         failures,
         f"worst amplitude deviation {worst:.1e}; 2D N=50 in {elapsed:.2f} s",
     )

@@ -220,6 +220,18 @@ def test_correlated_walk_refuses_window_over_cap(n, moves):
         correlated_walk_distribution(n, FAIR_INDEPENDENT, moves)
 
 
+@pytest.mark.parametrize(
+    "n, moves",
+    [
+        (4_999_999, DEFAULT_MOVES),  # 10**7 - 1 sites: under the window cap
+        (10**8, {"hh": 0, "ht": 0, "th": 0, "tt": 0}),  # a one-site window
+    ],
+)
+def test_correlated_walk_refuses_runs_over_the_time_cap(n, moves):
+    with pytest.raises(ValueError, match="MAX_WINDOW_UPDATES"):
+        correlated_walk_distribution(n, FAIR_INDEPENDENT, moves)
+
+
 def test_sample_walk_deterministic_outcome():
     j = JointCoinDistribution(1.0, 0.0, 0.0, 0.0)
     assert sample_walk(1, j, DEFAULT_MOVES, seed=9) == DEFAULT_MOVES["hh"]

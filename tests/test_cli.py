@@ -197,6 +197,28 @@ def test_classical_window_over_cap_is_a_validation_error(tmp_path):
     assert run(cfg, quiet=True) == EXIT_VALIDATION
 
 
+def test_classical_run_over_time_cap_is_a_validation_error(tmp_path):
+    # the window (10**7 - 1 sites) fits; 5 * 10**6 steps over it do not
+    cfg = write_config(
+        tmp_path,
+        "[experiment]\nmode = classical\noutput_format = csv\n[classical]\nn = 4999999\n",
+    )
+    assert run(cfg, quiet=True) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [
+        "coin = ghz3\nshift = s_2d\nsteps = 1000000000\n",
+        "shift = custom\nshift_table = 1000000 0 0 -1000000\nsteps = 10\n",
+    ],
+)
+def test_quantum_walk_over_cap_is_a_validation_error(tmp_path, capsys, walk):
+    cfg = write_config(tmp_path, "[experiment]\nmode = quantum\noutput_format = csv\n" + walk)
+    assert run(cfg, quiet=True) == EXIT_VALIDATION
+    assert "MAX_WINDOW_AMPLITUDES" in capsys.readouterr().err
+
+
 def test_compare_mode_columns_match_standalone_runs(tmp_path):
     cmp_out = tmp_path / "cmp.json"
     cfg = write_config(

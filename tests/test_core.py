@@ -152,6 +152,37 @@ def test_walk_state_stores_sparse_positions():
     assert s.positions() == [(0,)]
 
 
+def test_walk_state_lists_only_sites_with_nonzero_amplitude():
+    s = WalkState(
+        dims=1,
+        qubits=2,
+        amplitudes={(4,): [0, 0, 0, 0], (0,): [0, 1, 0, 0], (-2,): [0, 0, 0, 1j]},
+    )
+    assert s.positions() == [(-2,), (0,)]
+    assert list(s.amplitudes) == [(-2,), (0,)]
+    assert len(s.amplitudes) == 2
+    assert (4,) not in s.amplitudes
+    assert s.amplitudes.get((4,)) is None
+    assert s.amplitudes.get((99,)) is None
+    assert s.amplitudes.get((0, 0)) is None
+    assert s.amplitudes.get(0) is None
+    assert s.amplitudes.get((0.5,)) is None
+    assert s.amplitude(4, 0) == 0
+    assert [v.tolist() for v in s.amplitudes.values()] == [[0, 0, 0, 1j], [0, 1, 0, 0]]
+
+
+def test_walk_state_2d_positions_are_sorted():
+    vec = [1, 0]
+    s = WalkState(dims=2, qubits=1, amplitudes={(1, -1): vec, (0, 2): vec, (0, -1): vec})
+    assert s.positions() == [(0, -1), (0, 2), (1, -1)]
+    assert np.array_equal(s.amplitudes[(0, 2)], [1, 0])
+
+
+def test_walk_state_refuses_a_bounding_box_over_the_cap():
+    with pytest.raises(ValueError, match="MAX_WINDOW_AMPLITUDES"):
+        WalkState(dims=1, qubits=1, amplitudes={(0,): [1, 0], (10**9,): [0, 1]})
+
+
 def test_walk_state_validates_shapes():
     with pytest.raises(ValueError):
         WalkState(dims=1, qubits=2, amplitudes={(0, 0): [1, 0, 0, 0]})

@@ -1,12 +1,15 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from entwalk.coins import COIN_PRESETS, build_coin_operator, build_initial_coin
-from entwalk.core import CoinState, state_norm
+from entwalk.core import CoinState, WalkState, state_norm
 from entwalk.engine import (
+    _STEP_OVERHEAD,
     WalkConfig,
+    _walk_cost,
     coin_distribution,
     evolve,
     initial_state,
@@ -221,6 +224,84 @@ def test_psi_minus_walker_never_moves(op):
         state = step(state, cfg.coin_op, cfg.shift)
         d = position_distribution(state)
         assert d[0] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("op", ["hadamard_n", "y_n"])
+def test_psi_minus_support_stays_exactly_at_the_origin(op):
+    # the coin maps psi_minus to itself up to a phase, so the moving
+    # components must cancel to exact zeros at every step, in every site
+    state = evolve(make_config("psi_minus", op, "s_ec", 30))
+    assert state.positions() == [(0,)]
+    assert position_distribution(state).support() == [0]
+
+
+def test_kept_states_are_unchanged_by_later_steps():
+    cfg = make_config("inui_konno", "y_n", "s_ec_prime", 0)
+    state = initial_state(cfg)
+    for _ in range(4):
+        state = step(state, cfg.coin_op, cfg.shift)
+    kept = state
+    snapshot = {pos: vec.copy() for pos, vec in kept.amplitudes.items()}
+    for _ in range(6):
+        state = step(state, cfg.coin_op, cfg.shift)
+    assert kept.positions() == sorted(snapshot)
+    for pos, vec in snapshot.items():
+        assert np.array_equal(kept.amplitudes[pos], vec)
+    assert not kept.amplitudes.window.flags.writeable
+    with pytest.raises(ValueError):
+        kept.amplitudes[kept.positions()[0]][0] = 0
+
+
+def test_walk_state_adopts_another_states_amplitudes():
+    s = evolve(make_config("ghz3", "y_n", "s_2d", 5))
+    adopted = WalkState(dims=s.dims, qubits=s.qubits, amplitudes=s.amplitudes)
+    assert adopted.amplitudes is s.amplitudes
+    rebuilt = WalkState(dims=s.dims, qubits=s.qubits, amplitudes=dict(s.amplitudes))
+    for t in (adopted, rebuilt):
+        assert t.positions() == s.positions()
+        assert position_distribution(t).probs == position_distribution(s).probs
+        assert state_norm(t) == pytest.approx(state_norm(s), abs=1e-15)
+    with pytest.raises(ValueError, match="window"):
+        WalkState(dims=1, qubits=3, amplitudes=s.amplitudes)
+
+
+def _with_shift(table, steps):
+    cfg = make_config("phi_plus", "hadamard_n", "s_ec", 0)
+    return WalkConfig(
+        coin_state=cfg.coin_state, coin_op=cfg.coin_op, shift=build_shift("custom", table), steps=steps
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg, cap",
+    [
+        (make_config("ghz3", "hadamard_n", "s_2d", 10**9), "MAX_WINDOW_AMPLITUDES"),
+        (make_config("phi_plus", "hadamard_n", "s_ec", 10**6), "MAX_WALK_WORK"),
+        (_with_shift([10**6, 0, 0, -(10**6)], 3), "MAX_WINDOW_AMPLITUDES"),
+        (_with_shift([0, 0, 0, 0], 10**9), "MAX_WALK_WORK"),
+    ],
+)
+def test_evolve_refuses_oversized_walks_before_allocating(cfg, cap):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=cap):
+            evolve(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("combo", [("ghz3", "y_n", "s_2d"), ("theta1", "hadamard_n", "s_ec_prime")])
+def test_walk_cost_counts_the_windows_the_steps_write(combo):
+    cfg = make_config(*combo, 7)
+    state, written = initial_state(cfg), 0
+    for _ in range(cfg.steps):
+        state = step(state, cfg.coin_op, cfg.shift)
+        written += state.amplitudes.window.size
+    final, work = _walk_cost(cfg)
+    assert final == state.amplitudes.window.size
+    assert work == written + cfg.steps * _STEP_OVERHEAD
 
 
 def test_bell_walk_symmetric_at_100_steps():
