@@ -9,7 +9,8 @@ parameters).  Numbered sections ``[experiment.1]``, ``[classical.1]``, ...
 define batch sub-configs layered over the base sections; each sub-config
 writes its own output file with the index inserted before the extension.
 
-Exit codes: 0 success, 2 config parse error, 3 validation error, 4 I/O error.
+Exit codes: 0 success, 2 config parse error, 3 validation error (also out of
+memory or an arithmetic error), 4 I/O error.
 
 Output formats:
 
@@ -35,6 +36,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .classical import (
     DEFAULT_MOVES,
@@ -141,49 +143,83 @@ class ExperimentConfig:
 
 
 def _format_prob(p: float) -> str:
-    return "0" if p < PRINT_FLOOR else f"{p:.12g}"
+    return "0" if p < PRINT_FLOOR else format(p, ".12g")
 
 
-def _label_row(label) -> tuple[int, ...]:
-    return label if isinstance(label, tuple) else (label,)
+# Rows go out this many to a write, except that a 2D gnuplot box goes out
+# one x block to a write.
+_BLOCK_ROWS = 4096
 
 
-def _emit_csv(dist: Distribution, out: io.TextIOBase) -> None:
-    pairs = dist.items_sorted()
-    width = len(_label_row(pairs[0][0])) if pairs else 1
-    header = "position,probability" if width == 1 else "position,position_y,probability"
-    out.write(header + "\n")
-    for label, p in pairs:
-        cells = [str(x) for x in _label_row(label)] + [_format_prob(p)]
-        out.write(",".join(cells) + "\n")
+def _rows(labels, values, sep: str):
+    # csv and table rows, as texts of _BLOCK_ROWS rows.
+    rows = zip(*[map(str, axis) for axis in labels], *[map(_format_prob, v) for v in values])
+    while text := "".join([sep.join(row) + "\n" for row in islice(rows, _BLOCK_ROWS)]):
+        yield text
 
 
-def _emit_json(dist: Distribution, out: io.TextIOBase, config_echo: dict, metadata: dict) -> None:
-    pairs = [[list(_label_row(label)) if isinstance(label, tuple) else label, p]
-             for label, p in dist.items_sorted()]
-    doc = {"config": config_echo, "metadata": metadata, "distribution": pairs}
-    json.dump(doc, out, indent=2, sort_keys=True)
-    out.write("\n")
-
-
-def _emit_gnuplot(dist: Distribution, out: io.TextIOBase) -> None:
-    pairs = dist.items_sorted()
-    if not pairs:
+def _box_rows(labels, probs):
+    # gnuplot positions: every grid point of the support's bounding box,
+    # zeros included, with a blank line after each x block in 2D.  Labels
+    # are sorted Python ints of any size; only their offsets from the box
+    # corner index the dense grid.
+    ys = labels[-1]
+    y0 = min(ys)
+    width = max(ys) - y0 + 1
+    if len(labels) == 1:
+        grid = [0.0] * width
+        for y, p in zip(ys, probs):
+            grid[y - y0] = p
+        yield from _rows([range(y0, y0 + width)], [grid], " ")
         return
-    width = len(_label_row(pairs[0][0]))
-    if width == 1:
-        out.write("# position probability\n")
-        support = [_label_row(label)[0] for label, _ in pairs]
-        for x in range(min(support), max(support) + 1):
-            out.write(f"{x} {_format_prob(dist[x])}\n")
-    else:
-        out.write("# position_x position_y probability\n")
-        xs = [label[0] for label, _ in pairs]
-        ys = [label[1] for label, _ in pairs]
-        for x in range(min(xs), max(xs) + 1):
-            for y in range(min(ys), max(ys) + 1):
-                out.write(f"{x} {y} {_format_prob(dist[(x, y)])}\n")
+    xs = labels[0]
+    x0 = xs[0]
+    grid = [0.0] * ((xs[-1] - x0 + 1) * width)
+    for x, y, p in zip(xs, ys, probs):
+        grid[(x - x0) * width + y - y0] = p
+    heads = [f" {y} " for y in range(y0, y0 + width)]
+    for start in range(0, len(grid), width):
+        x = str(x0 + start // width)
+        block = grid[start:start + width]
+        yield "".join([x + head + _format_prob(p) + "\n" for head, p in zip(heads, block)]) + "\n"
+
+
+def _write_table(
+    header: list[str],
+    labels: list,
+    values: list,
+    output_format: str,
+    path: str | None,
+    config_echo: dict,
+    metadata: dict,
+    json_key: str,
+    box: bool = False,
+) -> None:
+    # The one table writer.  Rows are sorted by label; ``labels`` holds one
+    # column of ints per label and ``values`` one column of floats per value
+    # cell.  csv and gnuplot print values through PRINT_FLOOR; json keeps
+    # them exact, with a row's labels folded into one list when it has
+    # several.  ``box`` zero-fills the labels' bounding box in gnuplot.
+    def write(out: io.TextIOBase) -> None:
+        if output_format == "json":
+            keys = labels[0] if len(labels) == 1 else [list(k) for k in zip(*labels)]
+            doc = {"config": config_echo, "metadata": metadata,
+                   json_key: [list(row) for row in zip(keys, *values)]}
+            json.dump(doc, out, indent=2, sort_keys=True)
             out.write("\n")
+            return
+        if output_format == "csv":
+            out.write(",".join(header) + "\n")
+            out.writelines(_rows(labels, values, ","))
+        else:
+            out.write("# " + " ".join(header) + "\n")
+            out.writelines(_box_rows(labels, values[0]) if box else _rows(labels, values, " "))
+
+    if path is None:
+        write(sys.stdout)
+    else:
+        with open(path, "w", newline="\n") as out:
+            write(out)
 
 
 def emit_distribution(
@@ -200,58 +236,32 @@ def emit_distribution(
     """
     if output_format not in OUTPUT_FORMATS:
         raise ValidationError(f"unknown output format {output_format!r}")
-
-    def write(out: io.TextIOBase) -> None:
-        if output_format == "csv":
-            _emit_csv(dist, out)
-        elif output_format == "json":
-            _emit_json(dist, out, config_echo or {}, metadata or {})
-        else:
-            _emit_gnuplot(dist, out)
-
-    if path is None:
-        write(sys.stdout)
+    keys = dist.support()
+    probs = list(map(dist.probs.__getitem__, keys))
+    if keys and isinstance(keys[0], tuple):
+        labels = list(zip(*keys))
+        first = "position_x" if output_format == "gnuplot" else "position"
+        header = [first, "position_y", "probability"]
     else:
-        with open(path, "w", newline="\n") as out:
-            write(out)
+        labels = [keys]
+        header = ["position", "probability"]
+    _write_table(header, labels, [probs], output_format, path, config_echo or {}, metadata or {},
+                 "distribution", box=True)
 
 
 def _emit_table(
-    header_cells: list[str],
-    rows: list[list],
+    header: list[str],
+    labels: list[int],
+    values: list[list[float]],
     output_format: str,
     path: str | None,
     config_echo: dict,
     metadata: dict,
     json_key: str,
-    n_labels: int = 1,
 ) -> None:
-    # Shared writer for the compare and entropy tables: the first n_labels
-    # columns are integer labels, the rest are probabilities/real values.
-    def write(out: io.TextIOBase) -> None:
-        if output_format == "csv":
-            out.write(",".join(header_cells) + "\n")
-            for row in rows:
-                cells = [str(x) for x in row[:n_labels]]
-                cells += [_format_prob(v) for v in row[n_labels:]]
-                out.write(",".join(cells) + "\n")
-        elif output_format == "json":
-            doc = {"config": config_echo, "metadata": metadata,
-                   json_key: [list(row) for row in rows]}
-            json.dump(doc, out, indent=2, sort_keys=True)
-            out.write("\n")
-        else:
-            out.write("# " + " ".join(header_cells) + "\n")
-            for row in rows:
-                cells = [str(x) for x in row[:n_labels]]
-                cells += [_format_prob(v) for v in row[n_labels:]]
-                out.write(" ".join(cells) + "\n")
-
-    if path is None:
-        write(sys.stdout)
-    else:
-        with open(path, "w", newline="\n") as out:
-            write(out)
+    # Compare and entropy tables: one column of integer labels, then value
+    # columns; gnuplot prints only the given rows.
+    _write_table(header, [labels], values, output_format, path, config_echo, metadata, json_key)
 
 
 def _parse_complex_pairs(text: str, where: str) -> tuple[complex, ...]:
@@ -454,7 +464,7 @@ def _run_compare(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
         labels = sorted(cfg.positions)
     else:
         labels = sorted(set(qdist.support()) | set(cdist.support()))
-    rows = [[k, qdist[k], cdist[k]] for k in labels]
+    values = [[qdist[k] for k in labels], [cdist[k] for k in labels]]
     meta = _base_metadata(cfg) | {
         "steps": cfg.steps,
         "classical_steps": cfg.classical.n,
@@ -462,9 +472,10 @@ def _run_compare(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
         "model": cfg.classical.model,
     }
     _emit_table(
-        ["position", "quantum", "classical"], rows, cfg.output_format, path, echo, meta, "comparison"
+        ["position", "quantum", "classical"], labels, values, cfg.output_format, path, echo, meta,
+        "comparison",
     )
-    return f"compare: {len(rows)} position(s), quantum {cfg.steps} vs classical {cfg.classical.n} step(s)"
+    return f"compare: {len(labels)} position(s), quantum {cfg.steps} vs classical {cfg.classical.n} step(s)"
 
 
 def _run_entropy(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
@@ -473,12 +484,13 @@ def _run_entropy(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
         if coin_state.qubits < 2:
             raise ValueError("entropy mode requires a coin of at least two qubits")
         cuts = [cfg.cut] if cfg.cut is not None else list(range(1, coin_state.qubits))
-        rows = [[cut, entanglement_entropy(coin_state, cut)] for cut in cuts]
+        entropies = [entanglement_entropy(coin_state, cut) for cut in cuts]
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
     meta = _base_metadata(cfg) | {"coin": cfg.coin, "qubits": coin_state.qubits}
-    _emit_table(["cut", "entropy_bits"], rows, cfg.output_format, path, echo, meta, "entropies")
-    return f"entropy: coin {cfg.coin}, {len(rows)} cut(s)"
+    _emit_table(["cut", "entropy_bits"], cuts, [entropies], cfg.output_format, path, echo, meta,
+                "entropies")
+    return f"entropy: coin {cfg.coin}, {len(cuts)} cut(s)"
 
 
 _MODE_RUNNERS = {
@@ -558,8 +570,9 @@ def run(config_path: str, overrides=(), quiet: bool = False) -> int:
     """Execute the experiment(s) described by a config file.
 
     Returns the process exit code instead of raising: 0 on success, 2 on a
-    parse error, 3 on a validation error, 4 on an I/O error.  Diagnostics go
-    to stderr; per-run summaries also go to stderr unless ``quiet``.
+    parse error, 3 on a validation error, a MemoryError or an
+    ArithmeticError, 4 on an I/O error.  Diagnostics go to stderr as one
+    line each; per-run summaries also go to stderr unless ``quiet``.
     """
     try:
         parser = _read_sections(config_path)
@@ -576,6 +589,10 @@ def run(config_path: str, overrides=(), quiet: bool = False) -> int:
         return EXIT_PARSE
     except (ValidationError, ValueError) as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except (MemoryError, ArithmeticError) as exc:
+        detail = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}{': ' + detail if detail else ''}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"error: i/o: {exc}", file=sys.stderr)

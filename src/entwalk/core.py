@@ -1,6 +1,7 @@
 """Shared containers for coin states, coin operators, joint walk states and
 probability distributions.  A joint walk state is one dense ``complex128``
-window of coin vectors over a box of the lattice.
+window over a box of the lattice, held coin-major: one contiguous plane of
+the box per coin basis state.
 
 Amplitudes are plain ``complex128`` throughout.  Coin basis states are indexed
 by reading the ket label as a binary numeral with the leftmost symbol most
@@ -14,6 +15,7 @@ import math
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -164,11 +166,12 @@ def tensor_product(a: CoinOperator, b: CoinOperator) -> CoinOperator:
 class SiteAmplitudes(Mapping):
     """Read-only ``{position: coin vector}`` view of a dense amplitude window.
 
-    ``window`` is a read-only ``complex128`` array of shape
-    ``(extent..., 2**qubits)`` over a box of the lattice, and ``origin`` is
-    the lattice position of its index 0.  The keys are the sites with any
-    nonzero coin component, in sorted order; a key's value is its row of
-    the window.
+    ``window`` is a read-only, coin-major ``complex128`` array of shape
+    ``(2**qubits, extent...)`` over a box of the lattice: ``window[c]`` is
+    the plane of coin component ``c``.  ``origin`` is the lattice position
+    of the box's index 0.  The keys are the sites with any nonzero coin
+    component, in sorted order; a key's value is its coin vector, the
+    window's column at that site.
     """
 
     __slots__ = ("window", "origin", "_mask", "_keys")
@@ -183,7 +186,7 @@ class SiteAmplitudes(Mapping):
     def occupied(self) -> np.ndarray:
         """Boolean array over the window's sites: any nonzero coin component."""
         if self._mask is None:
-            self._mask = (self.window != 0).any(axis=-1)
+            self._mask = (self.window != 0).any(axis=0)
         return self._mask
 
     def __getitem__(self, pos) -> np.ndarray:
@@ -191,10 +194,10 @@ class SiteAmplitudes(Mapping):
             index = tuple(operator.index(x) - o for x, o in zip(pos, self.origin, strict=True))
         except (TypeError, ValueError):
             raise KeyError(pos) from None
-        if all(0 <= i < n for i, n in zip(index, self.window.shape)):
-            row = self.window[index]
-            if row.any():
-                return row
+        if all(0 <= i < n for i, n in zip(index, self.window.shape[1:])):
+            vec = self.window[(slice(None),) + index]
+            if vec.any():
+                return vec
         raise KeyError(pos)
 
     def __iter__(self):
@@ -225,9 +228,9 @@ def _pack_sites(dims: int, qubits: int, sites) -> SiteAmplitudes:
     extent = tuple(max((k[a] for k in checked), default=-1) - lo[a] + 1 for a in range(dims))
     if math.prod(extent) * dim > MAX_WINDOW_AMPLITUDES:
         raise ValueError(f"bounding box of {extent} sites exceeds {MAX_WINDOW_AMPLITUDES=}")
-    window = np.zeros(extent + (dim,), dtype=complex)
+    window = np.zeros((dim,) + extent, dtype=complex)
     for key, v in checked.items():
-        window[tuple(x - o for x, o in zip(key, lo))] = v
+        window[(slice(None),) + tuple(x - o for x, o in zip(key, lo))] = v
     return SiteAmplitudes(window, lo)
 
 
@@ -238,10 +241,10 @@ class WalkState:
     ``amplitudes`` maps each lattice position (tuple of ``dims`` ints) with
     any nonzero coin component to its complex coin vector of length
     ``2**qubits``.  It is a read-only :class:`SiteAmplitudes` view over one
-    ``complex128`` array of shape ``(extent..., 2**qubits)``.  A dict passed
-    in is validated and packed into its bounding box; a view taken from
-    another state is adopted as it is.  Instances are immutable values;
-    evolution produces new ones.
+    coin-major ``complex128`` array of shape ``(2**qubits, extent...)``.  A
+    dict passed in is validated and packed into its bounding box; a view
+    taken from another state is adopted as it is.  Instances are immutable
+    values; evolution produces new ones.
     """
 
     dims: int
@@ -256,7 +259,7 @@ class WalkState:
         if not isinstance(self.amplitudes, SiteAmplitudes):
             object.__setattr__(self, "amplitudes", _pack_sites(self.dims, self.qubits, self.amplitudes))
         shape = self.amplitudes.window.shape
-        if len(shape) != self.dims + 1 or shape[-1] != 2**self.qubits:
+        if len(shape) != self.dims + 1 or shape[0] != 2**self.qubits:
             raise ValueError(
                 f"window of shape {shape} does not hold {self.dims}D sites of {self.qubits} qubit(s)"
             )
@@ -291,18 +294,21 @@ class Distribution:
     probs: dict
 
     def __post_init__(self) -> None:
-        clean = {}
-        total = 0.0
-        for label, p in self.probs.items():
-            p = float(p)
-            if not 0.0 <= p < float("inf"):
-                raise ValueError(f"invalid probability {p!r} at {label!r}")
-            key = tuple(int(x) for x in label) if isinstance(label, (tuple, list)) else int(label)
-            clean[key] = p
-            total += p
+        labels = list(self.probs)
+        values = list(map(float, self.probs.values()))
+        total = sum(values)
+        if not (math.isfinite(total) and min(values, default=0.0) >= 0.0):
+            for label, p in zip(labels, values):
+                if not 0.0 <= p < math.inf:
+                    raise ValueError(f"invalid probability {p!r} at {label!r}")
         if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        object.__setattr__(self, "probs", clean)
+        kinds = set(map(type, labels))
+        if kinds == {tuple}:
+            kinds = set(map(type, chain.from_iterable(labels)))
+        if not kinds <= {int}:
+            labels = [tuple(map(int, x)) if isinstance(x, (tuple, list)) else int(x) for x in labels]
+        object.__setattr__(self, "probs", dict(zip(labels, values)))
 
     def __getitem__(self, label) -> float:
         key = tuple(label) if isinstance(label, (tuple, list)) else label

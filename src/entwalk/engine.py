@@ -1,12 +1,12 @@
 """Walk evolution: compose a coin operator and a conditional shift into one
 step, iterate it, and read out marginal probability distributions.
 
-A state is one dense window of coin vectors (see :class:`WalkState`).  One
-step contracts the coin unitary with every site of the window in a single
-call, then copies each coin column into a fresh window grown by the shift's
-displacement range.  A walk too large for a window is refused before it
-starts.  No renormalization is ever applied, so any unitarity defect
-accumulates visibly in the state norm instead of being hidden.
+A state is one dense coin-major window (see :class:`WalkState`).  One step
+applies the coin unitary to every site at once, one broadcast product per
+coin column, then copies each coin plane into a fresh window grown by the
+shift's displacement range.  A walk too large for a window is refused
+before it starts.  No renormalization is ever applied, so any unitarity
+defect accumulates visibly in the state norm instead of being hidden.
 """
 
 from __future__ import annotations
@@ -90,10 +90,11 @@ class WalkConfig:
 
 def initial_state(cfg: WalkConfig) -> WalkState:
     """Product state: the coin state attached to a single lattice site."""
+    window = cfg.coin_state.amplitudes.reshape((-1,) + (1,) * cfg.shift.dims).copy()
     return WalkState(
         dims=cfg.shift.dims,
         qubits=cfg.coin_state.qubits,
-        amplitudes={cfg.initial_position: cfg.coin_state.amplitudes.copy()},
+        amplitudes=SiteAmplitudes(window, cfg.initial_position),
     )
 
 
@@ -106,10 +107,18 @@ def step(state: WalkState, coin_op: CoinOperator, shift: DisplacementTable) -> W
     if shift.dims != state.dims:
         raise ValueError(f"shift is {shift.dims}D, state is {state.dims}D")
     sites = state.amplitudes
-    # einsum, not a BLAS product (window @ matrix.T): its fused multiply-adds
-    # leave rounding residues where a site's components cancel exactly, and
-    # exact zeros define the support.
-    tossed = np.einsum("...j,ij->...i", sites.window, coin_op.matrix)
+    # Coin column j times coin plane j, summed over j in ascending order,
+    # each product rounded before it is added and no BLAS: fused
+    # multiply-adds would leave rounding residues where a site's components
+    # cancel exactly, and exact zeros define the support.
+    columns = coin_op.matrix.reshape(coin_op.matrix.shape + (1,) * state.dims)
+    tossed = columns[:, 0] * sites.window[0]
+    product = np.empty_like(tossed)
+    for j in range(1, coin_op.dim):
+        tossed += np.multiply(columns[:, j], sites.window[j], out=product)
+    # Free the product before the shift allocates the grown window, so at
+    # most three window-sized arrays are alive at once.
+    del product
     window, origin = _shift_amplitudes(tossed, sites.origin, shift)
     return WalkState(dims=state.dims, qubits=state.qubits, amplitudes=SiteAmplitudes(window, origin))
 
@@ -144,8 +153,13 @@ def evolve(cfg: WalkConfig) -> WalkState:
 
 
 def _weights(state: WalkState) -> np.ndarray:
+    # |amplitude|^2 as a site-major contiguous copy, shape (extent..., 2**q).
+    # numpy sums a contiguous row pairwise, so a site's total does not
+    # depend on the window layout; a plane-by-plane sum would round
+    # differently.
     window = state.amplitudes.window
-    return window.real**2 + window.imag**2
+    weights = window.real**2 + window.imag**2
+    return weights.transpose(*range(1, weights.ndim), 0).copy()
 
 
 def position_distribution(state: WalkState) -> Distribution:

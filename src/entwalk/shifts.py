@@ -4,8 +4,8 @@ A conditional shift translates the walker by an integer displacement chosen
 by the coin basis state, leaving the coin untouched.  Any such operator is
 fully described by its per-basis-state displacement table; unitarity is
 structural (each (position, coin) basis state maps to a distinct one), so no
-numeric check is needed.  On a dense window of coin vectors the shift is one
-slice copy per coin column into a fresh, larger window.
+numeric check is needed.  On a dense coin-major window the shift is one
+slice copy per coin plane into a fresh, larger window.
 """
 
 from __future__ import annotations
@@ -128,17 +128,17 @@ def build_shift(preset: str, custom_table=None) -> DisplacementTable:
 def _shift_amplitudes(
     window: np.ndarray, origin: tuple[int, ...], table: DisplacementTable
 ) -> tuple[np.ndarray, tuple[int, ...]]:
-    # A fresh window, grown along each axis by the range of the table's
-    # displacements, takes each coin column by one slice copy; the input is
-    # never written.  Returns the new window and its origin.
+    # A fresh coin-major window, grown along each axis by the range of the
+    # table's displacements, takes each coin plane by one slice copy; the
+    # input is never written.  Returns the new window and its origin.
     lo = [min(axis) for axis in zip(*table.table)]
     hi = [max(axis) for axis in zip(*table.table)]
-    extent = window.shape[:-1]
+    extent = window.shape[1:]
     grown = tuple(n + h - l for n, h, l in zip(extent, hi, lo))
-    moved = np.zeros(grown + window.shape[-1:], dtype=complex)
+    moved = np.zeros(window.shape[:1] + grown, dtype=complex)
     for c, d in enumerate(table.table):
         target = tuple(slice(x - l, x - l + n) for x, l, n in zip(d, lo, extent))
-        moved[target + (c,)] = window[..., c]
+        moved[(c,) + target] = window[c]
     return moved, tuple(o + l for o, l in zip(origin, lo))
 
 

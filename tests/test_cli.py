@@ -102,6 +102,66 @@ def test_gnuplot_zero_fills_window(tmp_path):
     assert out.read_text() == "# position probability\n-1 0.5\n0 0\n1 0.5\n"
 
 
+def test_gnuplot_2d_box_golden_bytes(tmp_path):
+    # the whole box, zeros included, with a blank line after each x block
+    out = tmp_path / "walk.dat"
+    cfg = write_config(
+        tmp_path,
+        "[experiment]\nmode = quantum\ncoin = ghz3\ncoin_operator = hadamard_n\n"
+        f"shift = s_2d\nsteps = 2\noutput_format = gnuplot\noutput = {out}\n",
+    )
+    assert run(cfg, quiet=True) == EXIT_OK
+    assert out.read_text() == (
+        "# position_x position_y probability\n"
+        "-1 -2 0\n-1 -1 0.03125\n-1 0 0.125\n-1 1 0\n\n"
+        "0 -2 0.03125\n0 -1 0.25\n0 0 0.0625\n0 1 0.125\n\n"
+        "1 -2 0\n1 -1 0.0625\n1 0 0.25\n1 1 0.03125\n\n"
+        "2 -2 0\n2 -1 0\n2 0 0.03125\n2 1 0\n\n"
+    )
+
+
+HUGE = 99999999999999999999999  # past int64: labels must stay Python ints
+
+
+@pytest.mark.parametrize(
+    "fmt,expected",
+    [
+        ("csv", f"position,probability\n{HUGE - 1},0.5\n{HUGE + 1},0.5\n"),
+        ("gnuplot", f"# position probability\n{HUGE - 1} 0.5\n{HUGE} 0\n{HUGE + 1} 0.5\n"),
+    ],
+    ids=["csv", "gnuplot"],
+)
+def test_walk_far_past_int64_keeps_its_labels(tmp_path, fmt, expected):
+    out = tmp_path / "walk.out"
+    cfg = write_config(
+        tmp_path,
+        QUANTUM_BASE.format(steps=1, fmt=fmt, out=out) + f"initial_position = {HUGE}\n",
+    )
+    assert run(cfg, quiet=True) == EXIT_OK
+    assert out.read_text() == expected
+
+
+@pytest.mark.parametrize(
+    "fmt,sep,header",
+    [("csv", ",", "position,quantum,classical"), ("gnuplot", " ", "# position quantum classical")],
+    ids=["csv", "gnuplot"],
+)
+def test_compare_far_past_int64_keeps_its_labels(tmp_path, fmt, sep, header):
+    out = tmp_path / "cmp.out"
+    cfg = write_config(
+        tmp_path,
+        "[experiment]\nmode = compare\ncoin = phi_plus\ncoin_operator = hadamard_n\n"
+        f"shift = s_ec\nsteps = 2\ninitial_position = {HUGE}\n"
+        f"positions = {HUGE + 2} 0 {HUGE} 2\noutput_format = {fmt}\noutput = {out}\n"
+        "[classical]\nmodel = binomial\nn = 2\n",
+    )
+    assert run(cfg, quiet=True) == EXIT_OK
+    rows = [[0, 0, 0.5], [2, 0, 0.25], [HUGE, 0.25, 0], [HUGE + 2, 0.125, 0]]
+    assert out.read_text() == "".join(
+        sep.join(str(x) for x in row) + "\n" for row in [[header]] + rows
+    )
+
+
 def test_identical_config_gives_byte_identical_output(tmp_path):
     out = tmp_path / "walk.json"
     text = QUANTUM_BASE.format(steps=40, fmt="json", out=out) + "seed = 11\n"
@@ -432,6 +492,24 @@ def test_exit_code_parse_errors(tmp_path, text):
 def test_exit_code_validation_errors(tmp_path, text):
     cfg = write_config(tmp_path, text)
     assert run(cfg, quiet=True) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [MemoryError(), MemoryError("no room\nfor it"), OverflowError("math range error"),
+     ZeroDivisionError("float division by zero")],
+    ids=["memory", "memory-two-lines", "overflow", "zero-division"],
+)
+def test_resource_and_arithmetic_errors_exit_as_validation(tmp_path, capsys, monkeypatch, exc):
+    def failing_evolve(cfg):
+        raise exc
+
+    monkeypatch.setattr("entwalk.cli.evolve", failing_evolve)
+    cfg = write_config(tmp_path, QUANTUM_BASE.format(steps=1, fmt="csv", out=tmp_path / "x.csv"))
+    assert run(cfg, quiet=True) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {type(exc).__name__}")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_console_main_runs_subcommand(tmp_path, capsys):
