@@ -165,15 +165,10 @@ def correlated_walk_distribution(
 def sample_walk(n: int, j: JointCoinDistribution, moves: dict = DEFAULT_MOVES, seed: int = 0) -> int:
     """One sampled endpoint of the n-step correlated-pair walk.
 
-    Draws the n tosses from a generator seeded with ``seed``; identical
-    arguments give the identical endpoint.
+    The endpoint of one :func:`sample_endpoints` draw, so memory stays
+    constant in ``n``; identical arguments give the identical endpoint.
     """
-    if n < 0:
-        raise ValueError(f"step count must be nonnegative, got {n}")
-    step_moves = np.array(_read_moves(moves))
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(4, size=n, p=np.array(j.outcome_probs()))
-    return int(np.sum(step_moves[draws]))
+    return int(sample_endpoints(n, j, moves, seed=seed)[0])
 
 
 def sample_endpoints(

@@ -21,8 +21,9 @@ json
     Object with the resolved config echo, run metadata and the sorted
     (position, probability) pairs at full float precision.
 gnuplot
-    Whitespace-separated columns over the full support window, including
-    zero-probability grid points, ready for ``plot``/``splot``.
+    Whitespace-separated columns, ready for ``plot``/``splot``.  A distribution
+    fills its support's bounding box, zero-probability grid points included;
+    compare and entropy tables print only their own rows.
 
 In csv and gnuplot output, probabilities below 1e-15 print as 0; json keeps
 every value exact.
@@ -73,25 +74,6 @@ PRINT_FLOOR = 1e-15
 MODES = ("quantum", "classical", "compare", "entropy")
 OUTPUT_FORMATS = ("csv", "json", "gnuplot")
 
-_EXPERIMENT_KEYS = {
-    "mode",
-    "coin",
-    "coin_amplitudes",
-    "coin_operator",
-    "coin_matrix",
-    "shift",
-    "shift_table",
-    "steps",
-    "initial_position",
-    "output_format",
-    "output",
-    "seed",
-    "positions",
-    "cut",
-}
-_CLASSICAL_KEYS = {"model", "n", "p", "rho", "moves"}
-
-
 class ParseError(Exception):
     """Malformed config file or field value; maps to EXIT_PARSE."""
 
@@ -109,6 +91,14 @@ class ClassicalParams:
     p: float = 0.5
     rho: float = 1.0
     moves: dict = field(default_factory=lambda: dict(DEFAULT_MOVES))
+
+    def __post_init__(self) -> None:
+        if self.model not in ("binomial", "correlated"):
+            raise ValidationError(
+                f"classical.model must be 'binomial' or 'correlated', got {self.model!r}"
+            )
+        if self.n < 0:
+            raise ValidationError(f"classical.n must be nonnegative, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -264,18 +254,22 @@ def _emit_table(
     _write_table(header, [labels], values, output_format, path, config_echo, metadata, json_key)
 
 
+def _groups(text: str) -> list[tuple[str, list[str]]]:
+    # "(a, b) (c, d) ..." -> [(group text, its fields), ...]
+    groups = [t.strip() for t in text.replace("(", " ").split(")")]
+    return [(group, group.replace(",", " ").split()) for group in groups if group]
+
+
 def _parse_complex_pairs(text: str, where: str) -> tuple[complex, ...]:
     # "(re, im) (re, im) ..." -> complex tuple.
-    toks = [t for t in text.replace("(", " ").split(")") if t.strip()]
     values = []
-    for tok in toks:
-        parts = tok.replace(",", " ").split()
+    for group, parts in _groups(text):
         if len(parts) != 2:
-            raise ParseError(f"{where}: expected (re, im) pairs, got {tok.strip()!r}")
+            raise ParseError(f"{where}: expected (re, im) pairs, got {group!r}")
         try:
             values.append(complex(float(parts[0]), float(parts[1])))
         except ValueError:
-            raise ParseError(f"{where}: non-numeric entry {tok.strip()!r}") from None
+            raise ParseError(f"{where}: non-numeric entry {group!r}") from None
     if not values:
         raise ParseError(f"{where}: empty value")
     return tuple(values)
@@ -288,14 +282,12 @@ def _parse_matrix(text: str, where: str) -> tuple:
 
 def _parse_shift_table(text: str, where: str):
     if "(" in text:
-        toks = [t for t in text.replace("(", " ").split(")") if t.strip()]
         rows = []
-        for tok in toks:
-            parts = tok.replace(",", " ").split()
+        for group, parts in _groups(text):
             try:
                 rows.append(tuple(int(x) for x in parts))
             except ValueError:
-                raise ParseError(f"{where}: non-integer displacement {tok.strip()!r}") from None
+                raise ParseError(f"{where}: non-integer displacement {group!r}") from None
         return tuple(rows)
     try:
         return tuple(int(x) for x in text.split())
@@ -325,74 +317,79 @@ def _parse_int_list(text: str, where: str) -> tuple[int, ...]:
         raise ParseError(f"{where}: expected integers, got {text!r}") from None
 
 
-def _get_typed(section: dict, key: str, kind, where: str):
-    raw = section[key]
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ParseError(f"{where}.{key}: cannot parse {raw!r} as {kind.__name__}") from None
+def _parse_text(text: str, where: str) -> str:
+    return text.strip()
+
+
+def _scalar(kind):
+    def parse(text: str, where: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ParseError(f"{where}: cannot parse {text!r} as {kind.__name__}") from None
+
+    return parse
+
+
+# Section -> config key -> (config field, value parser).  A table names every
+# key its section accepts and parses values in its order, which picks the
+# error a config with several bad values reports: an unknown experiment key,
+# a missing mode, the classical section, then the experiment values.
+_SECTIONS = {
+    "experiment": {
+        "mode": ("mode", _parse_text),
+        "coin": ("coin", _parse_text),
+        "coin_amplitudes": ("coin_amplitudes", _parse_complex_pairs),
+        "coin_operator": ("coin_operator", _parse_text),
+        "coin_matrix": ("coin_matrix", _parse_matrix),
+        "shift": ("shift", _parse_text),
+        "shift_table": ("shift_table", _parse_shift_table),
+        "steps": ("steps", _scalar(int)),
+        "initial_position": ("initial_position", _parse_int_list),
+        "output_format": ("output_format", _parse_text),
+        "output": ("output_path", _parse_text),
+        "seed": ("seed", _scalar(int)),
+        "positions": ("positions", _parse_int_list),
+        "cut": ("cut", _scalar(int)),
+    },
+    "classical": {
+        "model": ("model", _parse_text),
+        "n": ("n", _scalar(int)),
+        "p": ("p", _scalar(float)),
+        "rho": ("rho", _scalar(float)),
+        "moves": ("moves", _parse_moves),
+    },
+}
+
+
+def _check_keys(name: str, section: dict) -> None:
+    unknown = set(section) - _SECTIONS[name].keys()
+    if unknown:
+        raise ParseError(f"{name}: unknown key(s) {sorted(unknown)}")
+
+
+def _parse_fields(name: str, section: dict) -> dict:
+    return {
+        fld: parse(section[key], f"{name}.{key}")
+        for key, (fld, parse) in _SECTIONS[name].items()
+        if key in section
+    }
 
 
 def _build_classical_params(section: dict) -> ClassicalParams:
-    unknown = set(section) - _CLASSICAL_KEYS
-    if unknown:
-        raise ParseError(f"classical: unknown key(s) {sorted(unknown)}")
-    kwargs = {}
-    if "model" in section:
-        kwargs["model"] = section["model"].strip()
-    elif "rho" in section:
+    _check_keys("classical", section)
+    kwargs = _parse_fields("classical", section)
+    if "rho" in section and "model" not in section:
         kwargs["model"] = "correlated"
-    if "n" in section:
-        kwargs["n"] = _get_typed(section, "n", int, "classical")
-    if "p" in section:
-        kwargs["p"] = _get_typed(section, "p", float, "classical")
-    if "rho" in section:
-        kwargs["rho"] = _get_typed(section, "rho", float, "classical")
-    if "moves" in section:
-        kwargs["moves"] = _parse_moves(section["moves"], "classical.moves")
-    params = ClassicalParams(**kwargs)
-    if params.model not in ("binomial", "correlated"):
-        raise ValidationError(
-            f"classical.model must be 'binomial' or 'correlated', got {params.model!r}"
-        )
-    if params.n < 0:
-        raise ValidationError(f"classical.n must be nonnegative, got {params.n}")
-    return params
+    return ClassicalParams(**kwargs)
 
 
 def _build_experiment(exp: dict, cls: dict) -> ExperimentConfig:
-    unknown = set(exp) - _EXPERIMENT_KEYS
-    if unknown:
-        raise ParseError(f"experiment: unknown key(s) {sorted(unknown)}")
+    _check_keys("experiment", exp)
     if "mode" not in exp:
         raise ValidationError("experiment.mode is required")
-    kwargs = {"mode": exp["mode"].strip(), "classical": _build_classical_params(cls)}
-    for key in ("coin", "coin_operator", "shift", "output_format"):
-        if key in exp:
-            kwargs[key] = exp[key].strip()
-    if "coin_amplitudes" in exp:
-        kwargs["coin_amplitudes"] = _parse_complex_pairs(
-            exp["coin_amplitudes"], "experiment.coin_amplitudes"
-        )
-    if "coin_matrix" in exp:
-        kwargs["coin_matrix"] = _parse_matrix(exp["coin_matrix"], "experiment.coin_matrix")
-    if "shift_table" in exp:
-        kwargs["shift_table"] = _parse_shift_table(exp["shift_table"], "experiment.shift_table")
-    if "steps" in exp:
-        kwargs["steps"] = _get_typed(exp, "steps", int, "experiment")
-    if "initial_position" in exp:
-        kwargs["initial_position"] = _parse_int_list(
-            exp["initial_position"], "experiment.initial_position"
-        )
-    if "output" in exp:
-        kwargs["output_path"] = exp["output"].strip()
-    if "seed" in exp:
-        kwargs["seed"] = _get_typed(exp, "seed", int, "experiment")
-    if "positions" in exp:
-        kwargs["positions"] = _parse_int_list(exp["positions"], "experiment.positions")
-    if "cut" in exp:
-        kwargs["cut"] = _get_typed(exp, "cut", int, "experiment")
-    return ExperimentConfig(**kwargs)
+    classical = _build_classical_params(cls)
+    return ExperimentConfig(classical=classical, **_parse_fields("experiment", exp))
 
 
 def _config_echo(exp: dict, cls: dict) -> dict:
@@ -455,10 +452,11 @@ def _run_classical(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
 
 
 def _run_compare(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
-    state = evolve(_walk_config(cfg))
-    qdist = position_distribution(state)
-    if any(isinstance(label, tuple) for label in qdist.support()):
+    walk = _walk_config(cfg)
+    if walk.shift.dims != 1:
         raise ValidationError("compare mode requires a 1D walk")
+    state = evolve(walk)
+    qdist = position_distribution(state)
     cdist = _classical_distribution(cfg.classical)
     if cfg.positions is not None:
         labels = sorted(cfg.positions)
@@ -538,11 +536,10 @@ def _apply_overrides(parser: configparser.ConfigParser, overrides) -> None:
 
 def _assemble_jobs(parser: configparser.ConfigParser):
     sections = set(parser.sections())
-    known = {"experiment", "classical"}
     tags = set()
     for name in sections:
         base, dot, tag = name.partition(".")
-        if base not in known:
+        if base not in _SECTIONS:
             raise ParseError(f"unknown section [{name}]")
         if dot:
             if not tag.isdigit():

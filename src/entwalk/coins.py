@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import MAX_QUBITS, CoinOperator, CoinState
+from .core import MAX_QUBITS, CoinOperator, CoinState, _kron
 
 __all__ = [
     "COIN_OPERATOR_KINDS",
@@ -127,8 +127,8 @@ def build_coin_operator(kind: str, qubits: int, custom_matrix=None) -> CoinOpera
     else:
         raise ValueError(f"unknown coin operator kind {kind!r}; expected one of {COIN_OPERATOR_KINDS}")
     matrix = base
-    for _ in range(qubits - 1):  # np.kron(matrix, base) without its Python-level set-up
-        matrix = (matrix[:, None, :, None] * base[None, :, None, :]).reshape(2 * len(matrix), -1)
+    for _ in range(qubits - 1):
+        matrix = _kron(matrix, base)
     return CoinOperator(matrix)
 
 

@@ -70,15 +70,22 @@ def _as_complex_matrix(entries) -> np.ndarray:
     return m
 
 
+def _unitarity_defect(m: np.ndarray) -> float:
+    return float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.kron(a, b) without its Python-level set-up: each entry is the same one product.
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+
+
 def check_unitary(matrix, tol: float = UNITARITY_TOL) -> bool:
     """Return True iff ``max |M M^dag - I| <= tol`` entrywise.
 
-    Accepts any square array-like; used internally to validate operators at
-    construction and available for checking user-supplied matrices.
+    Accepts any square array-like, such as a user-supplied matrix;
+    :class:`CoinOperator` applies the same test at construction.
     """
-    m = _as_complex_matrix(matrix)
-    defect = m @ m.conj().T - np.eye(m.shape[0])
-    return float(np.max(np.abs(defect))) <= tol
+    return _unitarity_defect(_as_complex_matrix(matrix)) <= tol
 
 
 @dataclass(frozen=True)
@@ -133,8 +140,8 @@ class CoinOperator:
         dim = m.shape[0]
         if dim & (dim - 1) or not 2 <= dim <= 2**MAX_QUBITS:
             raise ValueError(f"coin operator dimension must be 2^q with q in 1..{MAX_QUBITS}, got {dim}")
-        if not check_unitary(m):
-            defect = float(np.max(np.abs(m @ m.conj().T - np.eye(dim))))
+        defect = _unitarity_defect(m)
+        if not defect <= UNITARITY_TOL:  # also refuses a NaN defect
             raise ValueError(f"matrix is not unitary: max |U U^dag - I| = {defect:.3e}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -160,7 +167,7 @@ def tensor_product(a: CoinOperator, b: CoinOperator) -> CoinOperator:
             f"tensor product of dimensions {a.dim} x {b.dim} exceeds the "
             f"supported coin size 2^{MAX_QUBITS}"
         )
-    return CoinOperator(np.kron(a.matrix, b.matrix))
+    return CoinOperator(_kron(a.matrix, b.matrix))
 
 
 class SiteAmplitudes(Mapping):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -246,6 +247,16 @@ def test_sample_walk_reproducible():
     a = sample_walk(100, FAIR_CORRELATED, seed=77)
     b = sample_walk(100, FAIR_CORRELATED, seed=77)
     assert a == b
+
+
+def test_sample_walk_memory_does_not_grow_with_n():
+    tracemalloc.start()
+    try:
+        sample_walk(10**7, FAIR_INDEPENDENT, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_sample_endpoints_match_exact_distribution():

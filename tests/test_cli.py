@@ -460,38 +460,145 @@ def test_exit_code_unwritable_output(tmp_path):
     assert run(cfg, quiet=True) == EXIT_IO
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "mode = quantum\n",  # no section header
-        "[experiment]\nmode = quantum\nsteps = abc\n",  # bad int
-        "[experiment]\nmode = quantum\nwarp_drive = on\n",  # unknown key
-        "[mystery]\nmode = quantum\n",  # unknown section
-        "[experiment.x]\nsteps = 1\n",  # non-integer batch tag
-        "[classical]\nn = 5\n",  # missing [experiment]
-    ],
-)
-def test_exit_code_parse_errors(tmp_path, text):
+# Config text -> the message after "error: config parse: " ({path}: the
+# config's path).  Cases with several faults pin which one is reported.
+PARSE_ERRORS = {
+    # no section header
+    "mode = quantum\n":
+        "File contains no section headers.\nfile: '{path}', line: 1\n'mode = quantum\\n'",
+    "[experiment]\nmode = quantum\nsteps = abc\n":  # bad int
+        "experiment.steps: cannot parse 'abc' as int",
+    "[experiment]\nmode = quantum\nwarp_drive = on\n":  # unknown key
+        "experiment: unknown key(s) ['warp_drive']",
+    "[mystery]\nmode = quantum\n": "unknown section [mystery]",
+    "[experiment.x]\nsteps = 1\n": "batch section [experiment.x] must end in an integer index",
+    "[classical]\nn = 5\n": "missing required section [experiment]",
+    # each inline parser
+    "[experiment]\nmode = quantum\ncoin = custom\ncoin_amplitudes = (1, 0, 0)\n":
+        "experiment.coin_amplitudes: expected (re, im) pairs, got '1, 0, 0'",
+    "[experiment]\nmode = quantum\ncoin = custom\ncoin_amplitudes = (1, x)\n":
+        "experiment.coin_amplitudes: non-numeric entry '1, x'",
+    "[experiment]\nmode = quantum\ncoin = custom\ncoin_amplitudes = ( )\n":
+        "experiment.coin_amplitudes: empty value",
+    "[experiment]\nmode = quantum\ncoin_operator = custom\ncoin_matrix = (1, 0) (0, 0); (1)\n":
+        "experiment.coin_matrix: expected (re, im) pairs, got '1'",
+    "[experiment]\nmode = quantum\nshift = custom\nshift_table = 1 0 x -1\n":
+        "experiment.shift_table: expected integers, got '1 0 x -1'",
+    "[experiment]\nmode = quantum\nshift = custom\nshift_table = (1, 0) (0, 1.5) (-1, 0)\n":
+        "experiment.shift_table: non-integer displacement '0, 1.5'",
+    "[experiment]\nmode = classical\n[classical]\nmoves = hh:1 ht\n":
+        "classical.moves: expected outcome:displacement, got 'ht'",
+    "[experiment]\nmode = classical\n[classical]\nmoves = hh:1 xx:0\n":
+        "classical.moves: unknown outcome 'xx', expected one of ('hh', 'ht', 'th', 'tt')",
+    "[experiment]\nmode = classical\n[classical]\nmoves = hh:1.5\n":
+        "classical.moves: non-integer displacement '1.5'",
+    "[experiment]\nmode = quantum\ninitial_position = 1 a\n":
+        "experiment.initial_position: expected integers, got '1 a'",
+    "[experiment]\nmode = compare\npositions = 1, 2.5\n":
+        "experiment.positions: expected integers, got '1, 2.5'",
+    "[experiment]\nmode = quantum\nseed = 1.0\n": "experiment.seed: cannot parse '1.0' as int",
+    "[experiment]\nmode = entropy\ncut = one\n": "experiment.cut: cannot parse 'one' as int",
+    "[experiment]\nmode = classical\n[classical]\nn = ten\n": "classical.n: cannot parse 'ten' as int",
+    "[experiment]\nmode = classical\n[classical]\np = half\n":
+        "classical.p: cannot parse 'half' as float",
+    "[experiment]\nmode = classical\n[classical]\nrho = x\n": "classical.rho: cannot parse 'x' as float",
+    # an unknown key wins over a bad value and a missing mode
+    "[experiment]\nmode = quantum\nsteps = abc\nwarp = 1\n": "experiment: unknown key(s) ['warp']",
+    "[experiment]\nwarp = 1\n": "experiment: unknown key(s) ['warp']",
+    "[experiment]\nmode = quantum\n[classical]\nbogus = 1\nn = x\n":
+        "classical: unknown key(s) ['bogus']",
+    # the classical section before the experiment values, each in key order
+    "[experiment]\nmode = quantum\nsteps = abc\n[classical]\nbogus = 1\n":
+        "classical: unknown key(s) ['bogus']",
+    "[experiment]\nmode = quantum\nsteps = abc\n[classical]\nn = x\n":
+        "classical.n: cannot parse 'x' as int",
+    "[experiment]\nmode = quantum\n[classical]\nn = x\np = y\n": "classical.n: cannot parse 'x' as int",
+    "[experiment]\nmode = quantum\n[classical]\np = y\nrho = z\n":
+        "classical.p: cannot parse 'y' as float",
+    "[experiment]\nmode = quantum\n[classical]\nrho = z\nmoves = q\n":
+        "classical.rho: cannot parse 'z' as float",
+    "[experiment]\nmode = quantum\n[classical]\nmodel = bad\nn = -1\nmoves = q\n":
+        "classical.moves: expected outcome:displacement, got 'q'",
+    "[experiment]\nmode = quantum\ncoin_amplitudes = x\ncoin_matrix = y\n":
+        "experiment.coin_amplitudes: expected (re, im) pairs, got 'x'",
+    "[experiment]\nmode = quantum\ncoin_matrix = (1)\nshift_table = x\n":
+        "experiment.coin_matrix: expected (re, im) pairs, got '1'",
+    "[experiment]\nmode = quantum\nshift_table = x\nsteps = y\n":
+        "experiment.shift_table: expected integers, got 'x'",
+    "[experiment]\nmode = quantum\nsteps = y\ninitial_position = q\n":
+        "experiment.steps: cannot parse 'y' as int",
+    "[experiment]\nmode = quantum\ninitial_position = q\nseed = r\n":
+        "experiment.initial_position: expected integers, got 'q'",
+    "[experiment]\nmode = quantum\nseed = r\npositions = s\n": "experiment.seed: cannot parse 'r' as int",
+    "[experiment]\nmode = quantum\npositions = s\ncut = t\n":
+        "experiment.positions: expected integers, got 's'",
+    "[experiment]\nmode = warp\nsteps = -1\ncut = t\n": "experiment.cut: cannot parse 't' as int",
+}
+
+
+@pytest.mark.parametrize("text", PARSE_ERRORS)
+def test_exit_code_parse_errors(tmp_path, capsys, text):
     cfg = write_config(tmp_path, text)
     assert run(cfg, quiet=True) == EXIT_PARSE
+    expected = "error: config parse: " + PARSE_ERRORS[text].replace("{path}", cfg) + "\n"
+    assert capsys.readouterr().err == expected
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "[experiment]\nmode = warp\n",  # unknown mode
-        "[experiment]\nmode = quantum\ncoin = bogus\n",  # unknown preset
-        "[experiment]\nmode = quantum\ncoin = ghz3\nshift = s_ec\n",  # size mismatch
-        "[experiment]\nmode = quantum\nsteps = -1\n",  # negative steps
-        "[experiment]\nmode = quantum\noutput_format = yaml\n",  # unknown format
-        "[experiment]\nmode = classical\n[classical]\nmodel = quantum\n",  # bad model
-        "[experiment]\nmode = entropy\ncoin = single_hadamard_bias\n",  # no bipartition
-        "[experiment]\nmode = quantum\ncoin = custom\ncoin_amplitudes = (1, 0) (1, 0)\n",
-    ],
-)
-def test_exit_code_validation_errors(tmp_path, text):
+# Config text -> the message after "error: validation: ".
+VALIDATION_ERRORS = {
+    "[experiment]\nmode = warp\n":  # unknown mode
+        "mode must be one of ('quantum', 'classical', 'compare', 'entropy'), got 'warp'",
+    "[experiment]\nmode = quantum\ncoin = bogus\n":  # unknown preset
+        "unknown coin preset 'bogus'; expected one of ['ghz3', 'inui_konno', 'phi_minus', "
+        "'phi_plus', 'plus_i_product', 'psi_minus', 'psi_plus', 'single_hadamard_bias', "
+        "'theta0', 'theta1'] or 'custom'",
+    "[experiment]\nmode = quantum\ncoin = ghz3\nshift = s_ec\n":  # size mismatch
+        "shift conditions on 2 qubit(s) but coin holds 3",
+    "[experiment]\nmode = quantum\nsteps = -1\n":  # negative steps
+        "steps must be nonnegative, got -1",
+    "[experiment]\nmode = quantum\noutput_format = yaml\n":  # unknown format
+        "output_format must be one of ('csv', 'json', 'gnuplot'), got 'yaml'",
+    "[experiment]\nmode = classical\n[classical]\nmodel = quantum\n":  # bad model
+        "classical.model must be 'binomial' or 'correlated', got 'quantum'",
+    "[experiment]\nmode = entropy\ncoin = single_hadamard_bias\n":  # no bipartition
+        "entropy mode requires a coin of at least two qubits",
+    "[experiment]\nmode = quantum\ncoin = custom\ncoin_amplitudes = (1, 0) (1, 0)\n":
+        "amplitudes are not normalized: |psi|^2 = 2.0",
+    "[experiment]\nmode = classical\n[classical]\nn = -1\n": "classical.n must be nonnegative, got -1",
+    # a missing mode wins over anything but an unknown experiment key
+    "[experiment]\nsteps = abc\n[classical]\nbogus = 1\n": "experiment.mode is required",
+    # the classical checks win over every experiment value
+    "[experiment]\nmode = quantum\nsteps = abc\n[classical]\nmodel = bad\n":
+        "classical.model must be 'binomial' or 'correlated', got 'bad'",
+    "[experiment]\nmode = quantum\n[classical]\nmodel = bad\nn = -1\n":
+        "classical.model must be 'binomial' or 'correlated', got 'bad'",
+    "[experiment]\nmode = warp\nsteps = abc\n[classical]\nn = -1\n":
+        "classical.n must be nonnegative, got -1",
+    # the experiment checks, in field order
+    "[experiment]\nmode = warp\noutput_format = yaml\nsteps = -1\n":
+        "mode must be one of ('quantum', 'classical', 'compare', 'entropy'), got 'warp'",
+    "[experiment]\nmode = quantum\noutput_format = yaml\nsteps = -1\n":
+        "output_format must be one of ('csv', 'json', 'gnuplot'), got 'yaml'",
+}
+
+
+@pytest.mark.parametrize("text", VALIDATION_ERRORS)
+def test_exit_code_validation_errors(tmp_path, capsys, text):
     cfg = write_config(tmp_path, text)
     assert run(cfg, quiet=True) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: validation: {VALIDATION_ERRORS[text]}\n"
+
+
+def test_compare_refuses_a_2d_walk_before_walking(tmp_path, capsys, monkeypatch):
+    def no_evolve(cfg):
+        raise AssertionError("compare mode evolved a 2D walk")
+
+    monkeypatch.setattr("entwalk.cli.evolve", no_evolve)
+    cfg = write_config(
+        tmp_path, "[experiment]\nmode = compare\ncoin = ghz3\nshift = s_2d\nsteps = 300\n"
+    )
+    assert run(cfg, quiet=True) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: validation: compare mode requires a 1D walk\n"
 
 
 @pytest.mark.parametrize(

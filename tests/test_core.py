@@ -126,7 +126,10 @@ def test_tensor_product_rejects_oversized_result():
 def test_tensor_product_associative(seed):
     rng = np.random.default_rng(seed)
     a, b, c = (CoinOperator(haar_unitary(2, rng)) for _ in range(3))
-    left = tensor_product(tensor_product(a, b), c).matrix
+    ab = tensor_product(a, b)
+    assert np.array_equal(ab.matrix, np.kron(a.matrix, b.matrix))
+    left = tensor_product(ab, c).matrix
+    assert np.array_equal(left, np.kron(ab.matrix, c.matrix))
     right = np.kron(a.matrix, np.kron(b.matrix, c.matrix))
     assert np.allclose(left, right, atol=1e-15)
 
