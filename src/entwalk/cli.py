@@ -99,6 +99,12 @@ class ClassicalParams:
             )
         if self.n < 0:
             raise ValidationError(f"classical.n must be nonnegative, got {self.n}")
+        # The walks' own messages, so a bad value reads the same whether it
+        # is caught here or by the classical module.
+        if self.model == "binomial" and not 0.0 <= self.p <= 1.0:
+            raise ValidationError(f"step probability must lie in [0, 1], got {self.p}")
+        if self.model == "correlated" and not -1.0 <= self.rho <= 1.0:
+            raise ValidationError(f"correlation must lie in [-1, 1], got {self.rho}")
 
 
 @dataclass(frozen=True)
@@ -435,9 +441,10 @@ def _base_metadata(cfg: ExperimentConfig) -> dict:
 def _run_quantum(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
     state = evolve(_walk_config(cfg))
     dist = position_distribution(state)
-    meta = _base_metadata(cfg) | {"steps": cfg.steps, "norm": state_norm(state)}
+    norm = state_norm(state)
+    meta = _base_metadata(cfg) | {"steps": cfg.steps, "norm": norm}
     emit_distribution(dist, cfg.output_format, path, echo, meta)
-    return f"quantum walk: {cfg.steps} step(s), norm {state_norm(state):.12f}"
+    return f"quantum walk: {cfg.steps} step(s), norm {norm:.12f}"
 
 
 def _run_classical(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
@@ -515,7 +522,8 @@ def _read_sections(path: str) -> configparser.ConfigParser:
     try:
         parser.read_string(text, source=path)
     except configparser.Error as exc:
-        raise ParseError(str(exc)) from None
+        # configparser's messages span lines; an error is one stderr line.
+        raise ParseError(" ".join(line.strip() for line in str(exc).splitlines())) from None
     return parser
 
 

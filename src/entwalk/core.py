@@ -285,9 +285,19 @@ class WalkState:
 
 
 def state_norm(state: WalkState) -> float:
-    """Total probability weight ``sum |amplitude|^2`` of a walk state."""
-    window = state.amplitudes.window
-    return float(np.vdot(window, window).real)
+    """Total probability weight ``sum |amplitude|^2`` of a walk state.
+
+    Each coin plane's squared real and imaginary parts are summed by numpy's
+    pairwise reduction, and the per-plane sums are added exactly by
+    ``math.fsum``.  No BLAS call is made and no window-sized temporary, so a
+    state's norm has the same bits on any number of threads.
+    """
+    planes = state.amplitudes.window
+    sums = [np.add.reduce(np.square(plane.ravel().view(np.float64))) for plane in planes]
+    try:
+        return math.fsum(sums)
+    except OverflowError:  # finite plane sums whose total exceeds float64
+        return math.inf
 
 
 @dataclass(frozen=True)

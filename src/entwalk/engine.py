@@ -2,11 +2,13 @@
 step, iterate it, and read out marginal probability distributions.
 
 A state is one dense coin-major window (see :class:`WalkState`).  One step
+allocates one fresh window, grown by the shift's displacement range, and
 applies the coin unitary to every site at once, one broadcast product per
-coin column, then copies each coin plane into a fresh window grown by the
-shift's displacement range.  A walk too large for a window is refused
-before it starts.  No renormalization is ever applied, so any unitarity
-defect accumulates visibly in the state norm instead of being hidden.
+coin column, into a workspace; the shift then copies each coin plane into
+the grown window.  :func:`evolve` keeps one workspace for the whole walk.
+A walk too large for a window is refused before it starts.  No
+renormalization is ever applied, so any unitarity defect accumulates
+visibly in the state norm instead of being hidden.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .core import (
     SiteAmplitudes,
     WalkState,
 )
-from .shifts import DisplacementTable, _shift_amplitudes
+from .shifts import DisplacementTable, _shift_amplitudes, _shifted_shape
 
 __all__ = [
     "MAX_WALK_WORK",
@@ -98,8 +100,20 @@ def initial_state(cfg: WalkConfig) -> WalkState:
     )
 
 
-def step(state: WalkState, coin_op: CoinOperator, shift: DisplacementTable) -> WalkState:
-    """One walk step: coin unitary on every site of the window, then the conditional shift."""
+def step(
+    state: WalkState,
+    coin_op: CoinOperator,
+    shift: DisplacementTable,
+    *,
+    scratch: np.ndarray | None = None,
+) -> WalkState:
+    """One walk step: coin unitary on every site of the window, then the conditional shift.
+
+    ``scratch`` is an optional workspace: a flat ``complex128`` array of at
+    least the state's window size, which the coin overwrites.  It changes
+    no result, and the returned state never shares its memory, so one
+    workspace can serve every step of a walk.
+    """
     if coin_op.qubits != state.qubits:
         raise ValueError(f"operator acts on {coin_op.qubits} qubit(s), state holds {state.qubits}")
     if shift.qubits != state.qubits:
@@ -107,26 +121,29 @@ def step(state: WalkState, coin_op: CoinOperator, shift: DisplacementTable) -> W
     if shift.dims != state.dims:
         raise ValueError(f"shift is {shift.dims}D, state is {state.dims}D")
     sites = state.amplitudes
+    shape, size = sites.window.shape, sites.window.size
+    # The grown window comes first: until the shift fills it, its leading
+    # amplitudes hold the coin's products.  So at most three window-sized
+    # arrays are alive at once: this state's, the tossed planes and this.
+    grown = np.empty(_shifted_shape(shape, shift), dtype=complex)
+    product = grown.reshape(-1)[:size].reshape(shape)
+    tossed = np.empty(shape, dtype=complex) if scratch is None else scratch[:size].reshape(shape)
     # Coin column j times coin plane j, summed over j in ascending order,
     # each product rounded before it is added and no BLAS: fused
     # multiply-adds would leave rounding residues where a site's components
     # cancel exactly, and exact zeros define the support.
     columns = coin_op.matrix.reshape(coin_op.matrix.shape + (1,) * state.dims)
-    tossed = columns[:, 0] * sites.window[0]
-    product = np.empty_like(tossed)
+    np.multiply(columns[:, 0], sites.window[0], out=tossed)
     for j in range(1, coin_op.dim):
         tossed += np.multiply(columns[:, j], sites.window[j], out=product)
-    # Free the product before the shift allocates the grown window, so at
-    # most three window-sized arrays are alive at once.
-    del product
-    window, origin = _shift_amplitudes(tossed, sites.origin, shift)
+    window, origin = _shift_amplitudes(tossed, sites.origin, shift, out=grown)
     return WalkState(dims=state.dims, qubits=state.qubits, amplitudes=SiteAmplitudes(window, origin))
 
 
 def _walk_cost(cfg: WalkConfig) -> tuple[int, int]:
     """Amplitudes in the final window, and the walk's work in amplitude updates."""
     n, dim = cfg.steps, cfg.coin_op.dim
-    r = [max(axis) - min(axis) for axis in zip(*cfg.shift.table)] + [0]
+    r = [*cfg.shift._layout.span, 0]
     # Step t writes a window of prod_a (1 + t r_a) sites; sum it over t = 1..n.
     s1, s2 = n * (n + 1) // 2, n * (n + 1) * (2 * n + 1) // 6
     sites = n + (r[0] + r[1]) * s1 + r[0] * r[1] * s2
@@ -147,8 +164,11 @@ def evolve(cfg: WalkConfig) -> WalkState:
     if work > MAX_WALK_WORK:
         raise ValueError(f"{cfg.steps} steps need {work} amplitude updates, over {MAX_WALK_WORK=}")
     state = initial_state(cfg)
+    # One workspace for every step's tossed planes: no step's window is
+    # larger than the final one.
+    scratch = np.empty(window, dtype=complex)
     for _ in range(cfg.steps):
-        state = step(state, cfg.coin_op, cfg.shift)
+        state = step(state, cfg.coin_op, cfg.shift, scratch=scratch)
     return state
 
 

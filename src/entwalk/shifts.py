@@ -5,12 +5,16 @@ by the coin basis state, leaving the coin untouched.  Any such operator is
 fully described by its per-basis-state displacement table; unitarity is
 structural (each (position, coin) basis state maps to a distinct one), so no
 numeric check is needed.  On a dense coin-major window the shift is one
-slice copy per coin plane into a fresh, larger window.
+slice copy per coin plane into a zero-filled, larger window: a fresh one,
+or the one a walk step allocated for it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +48,16 @@ SHIFT_PRESETS: dict[str, tuple[tuple[int, ...], ...]] = {
 }
 
 
+class _Layout(NamedTuple):
+    # How a shift by one table moves a window.  Per axis: ``lo``, the
+    # smallest displacement, which moves the window's origin, and ``span``,
+    # the range of displacements, which grows the window.  Per coin state:
+    # ``offsets``, its displacement minus ``lo``, where its plane lands.
+    lo: tuple[int, ...]
+    span: tuple[int, ...]
+    offsets: tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class DisplacementTable:
     """Per-coin-basis-state lattice displacements of a conditional shift.
@@ -69,6 +83,13 @@ class DisplacementTable:
         if any(len(row) != self.dims for row in rows):
             raise ValueError(f"every displacement must have {self.dims} component(s)")
         object.__setattr__(self, "table", rows)
+
+    @cached_property
+    def _layout(self) -> _Layout:
+        axes = list(zip(*self.table))
+        lo = tuple(map(min, axes))
+        span = tuple(max(axis) - low for axis, low in zip(axes, lo))
+        return _Layout(lo, span, tuple(tuple(map(operator.sub, row, lo)) for row in self.table))
 
     @property
     def max_displacement(self) -> int:
@@ -125,21 +146,28 @@ def build_shift(preset: str, custom_table=None) -> DisplacementTable:
     return DisplacementTable(dims=len(rows[0]), qubits=len(rows).bit_length() - 1, table=rows)
 
 
+def _shifted_shape(shape: tuple[int, ...], table: DisplacementTable) -> tuple[int, ...]:
+    # Shape of the coin-major window that shifting a window of ``shape`` fills.
+    return shape[:1] + tuple(map(operator.add, shape[1:], table._layout.span))
+
+
 def _shift_amplitudes(
-    window: np.ndarray, origin: tuple[int, ...], table: DisplacementTable
+    window: np.ndarray,
+    origin: tuple[int, ...],
+    table: DisplacementTable,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
-    # A fresh coin-major window, grown along each axis by the range of the
-    # table's displacements, takes each coin plane by one slice copy; the
-    # input is never written.  Returns the new window and its origin.
-    lo = [min(axis) for axis in zip(*table.table)]
-    hi = [max(axis) for axis in zip(*table.table)]
+    # ``out`` (a fresh window when None, else one of _shifted_shape) is
+    # zero-filled and takes each coin plane by one slice copy; the input is
+    # never written.  Returns the filled window and its origin.
+    layout = table._layout
     extent = window.shape[1:]
-    grown = tuple(n + h - l for n, h, l in zip(extent, hi, lo))
-    moved = np.zeros(window.shape[:1] + grown, dtype=complex)
-    for c, d in enumerate(table.table):
-        target = tuple(slice(x - l, x - l + n) for x, l, n in zip(d, lo, extent))
-        moved[(c,) + target] = window[c]
-    return moved, tuple(o + l for o, l in zip(origin, lo))
+    if out is None:
+        out = np.empty(_shifted_shape(window.shape, table), dtype=complex)
+    out.fill(0)
+    for c, offset in enumerate(layout.offsets):
+        out[(c, *map(slice, offset, map(operator.add, offset, extent)))] = window[c]
+    return out, tuple(map(operator.add, origin, layout.lo))
 
 
 def apply_shift(state: WalkState, table: DisplacementTable) -> WalkState:

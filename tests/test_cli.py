@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import entwalk
 
 from entwalk.cli import (
     EXIT_IO,
@@ -170,6 +176,29 @@ def test_identical_config_gives_byte_identical_output(tmp_path):
     first = out.read_bytes()
     assert run(cfg, quiet=True) == EXIT_OK
     assert out.read_bytes() == first
+
+
+def test_json_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the 2D walk's window is large enough for a threaded BLAS reduction to
+    # split it, which would move the last digits of metadata.norm
+    out = tmp_path / "walk.json"
+    cfg = write_config(
+        tmp_path,
+        "[experiment]\nmode = quantum\ncoin = ghz3\nshift = s_2d\nsteps = 50\n"
+        f"output_format = json\noutput = {out}\n",
+    )
+    src = str(Path(entwalk.__file__).parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = os.environ | {
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        subprocess.run(
+            [sys.executable, "-m", "entwalk.cli", "run", cfg, "--quiet"], env=env, check=True, timeout=120
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_stdout_emission_when_no_output_path(tmp_path, capsys):
@@ -465,7 +494,7 @@ def test_exit_code_unwritable_output(tmp_path):
 PARSE_ERRORS = {
     # no section header
     "mode = quantum\n":
-        "File contains no section headers.\nfile: '{path}', line: 1\n'mode = quantum\\n'",
+        "File contains no section headers. file: '{path}', line: 1 'mode = quantum\\n'",
     "[experiment]\nmode = quantum\nsteps = abc\n":  # bad int
         "experiment.steps: cannot parse 'abc' as int",
     "[experiment]\nmode = quantum\nwarp_drive = on\n":  # unknown key
@@ -544,6 +573,15 @@ def test_exit_code_parse_errors(tmp_path, capsys, text):
     assert capsys.readouterr().err == expected
 
 
+def test_configparser_errors_are_one_stderr_line(tmp_path, capsys):
+    # configparser puts each bad line of a ParsingError on a line of its own
+    cfg = write_config(tmp_path, "[experiment]\nmode = quantum\nno equals sign\nnor here\n")
+    assert run(cfg, quiet=True) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: config parse: Source contains parsing errors:")
+    assert err.count("\n") == 1 and "'no equals sign\\n'" in err and "'nor here\\n'" in err
+
+
 # Config text -> the message after "error: validation: ".
 VALIDATION_ERRORS = {
     "[experiment]\nmode = warp\n":  # unknown mode
@@ -565,6 +603,13 @@ VALIDATION_ERRORS = {
     "[experiment]\nmode = quantum\ncoin = custom\ncoin_amplitudes = (1, 0) (1, 0)\n":
         "amplitudes are not normalized: |psi|^2 = 2.0",
     "[experiment]\nmode = classical\n[classical]\nn = -1\n": "classical.n must be nonnegative, got -1",
+    "[experiment]\nmode = compare\nsteps = 3000\n[classical]\np = 1.5\n":  # p out of range
+        "step probability must lie in [0, 1], got 1.5",
+    "[experiment]\nmode = classical\n[classical]\nrho = -1.5\n":  # rho out of range
+        "correlation must lie in [-1, 1], got -1.5",
+    # the whole request is checked: a quantum run refuses a bad classical section too
+    "[experiment]\nmode = quantum\n[classical]\nmodel = binomial\np = -0.5\n":
+        "step probability must lie in [0, 1], got -0.5",
     # a missing mode wins over anything but an unknown experiment key
     "[experiment]\nsteps = abc\n[classical]\nbogus = 1\n": "experiment.mode is required",
     # the classical checks win over every experiment value
@@ -573,6 +618,8 @@ VALIDATION_ERRORS = {
     "[experiment]\nmode = quantum\n[classical]\nmodel = bad\nn = -1\n":
         "classical.model must be 'binomial' or 'correlated', got 'bad'",
     "[experiment]\nmode = warp\nsteps = abc\n[classical]\nn = -1\n":
+        "classical.n must be nonnegative, got -1",
+    "[experiment]\nmode = quantum\n[classical]\nn = -1\np = 2\n":
         "classical.n must be nonnegative, got -1",
     # the experiment checks, in field order
     "[experiment]\nmode = warp\noutput_format = yaml\nsteps = -1\n":
@@ -599,6 +646,16 @@ def test_compare_refuses_a_2d_walk_before_walking(tmp_path, capsys, monkeypatch)
     )
     assert run(cfg, quiet=True) == EXIT_VALIDATION
     assert capsys.readouterr().err == "error: validation: compare mode requires a 1D walk\n"
+
+
+def test_compare_checks_classical_values_before_walking(tmp_path, capsys, monkeypatch):
+    def no_evolve(cfg):
+        raise AssertionError("compare mode walked before checking p")
+
+    monkeypatch.setattr("entwalk.cli.evolve", no_evolve)
+    cfg = write_config(tmp_path, "[experiment]\nmode = compare\nsteps = 3000\n[classical]\np = 1.5\n")
+    assert run(cfg, quiet=True) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: validation: step probability must lie in [0, 1], got 1.5\n"
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,6 +204,10 @@ def test_state_norm_of_fresh_state_is_one():
 
 def test_state_norm_of_empty_state_is_zero():
     assert state_norm(WalkState(dims=1, qubits=1, amplitudes={})) == 0.0
+
+
+def test_state_norm_past_float64_range_is_inf():
+    assert state_norm(WalkState(dims=1, qubits=1, amplitudes={(0,): [1e154, 1e154]})) == math.inf
 
 
 def test_distribution_validates_sum_and_sign():

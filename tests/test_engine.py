@@ -236,20 +236,35 @@ def test_psi_minus_support_stays_exactly_at_the_origin(op):
 
 
 def test_kept_states_are_unchanged_by_later_steps():
-    cfg = make_config("inui_konno", "y_n", "s_ec_prime", 0)
+    cfg = make_config("inui_konno", "y_n", "s_ec_prime", 10)
+    # without a workspace, and with one that every step reuses
+    for scratch in (None, np.empty(_walk_cost(cfg)[0], dtype=complex)):
+        state = initial_state(cfg)
+        for _ in range(4):
+            state = step(state, cfg.coin_op, cfg.shift, scratch=scratch)
+        kept = state
+        snapshot = {pos: vec.copy() for pos, vec in kept.amplitudes.items()}
+        for _ in range(6):
+            state = step(state, cfg.coin_op, cfg.shift, scratch=scratch)
+        assert kept.positions() == sorted(snapshot)
+        for pos, vec in snapshot.items():
+            assert np.array_equal(kept.amplitudes[pos], vec)
+        assert not kept.amplitudes.window.flags.writeable
+        with pytest.raises(ValueError):
+            kept.amplitudes[kept.positions()[0]][0] = 0
+
+
+@pytest.mark.parametrize(
+    "combo", [("ghz3", "hadamard_n", "s_2d", 50), ("inui_konno", "y_n", "s_ec_prime", 40)]
+)
+def test_evolve_matches_a_scratch_free_step_loop(combo):
+    cfg = make_config(*combo)
     state = initial_state(cfg)
-    for _ in range(4):
-        state = step(state, cfg.coin_op, cfg.shift)
-    kept = state
-    snapshot = {pos: vec.copy() for pos, vec in kept.amplitudes.items()}
-    for _ in range(6):
-        state = step(state, cfg.coin_op, cfg.shift)
-    assert kept.positions() == sorted(snapshot)
-    for pos, vec in snapshot.items():
-        assert np.array_equal(kept.amplitudes[pos], vec)
-    assert not kept.amplitudes.window.flags.writeable
-    with pytest.raises(ValueError):
-        kept.amplitudes[kept.positions()[0]][0] = 0
+    for _ in range(cfg.steps):
+        state = step(state, cfg.coin_op, cfg.shift, scratch=None)
+    walked = evolve(cfg)
+    assert walked.amplitudes.origin == state.amplitudes.origin
+    assert np.array_equal(walked.amplitudes.window, state.amplitudes.window)
 
 
 def test_walk_state_adopts_another_states_amplitudes():
