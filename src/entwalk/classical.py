@@ -22,6 +22,7 @@ __all__ = [
     "OUTCOMES",
     "JointCoinDistribution",
     "binomial_walk_distribution",
+    "check_walk_cost",
     "correlated_walk_distribution",
     "correlation",
     "sample_endpoints",
@@ -119,19 +120,19 @@ def _read_moves(moves: dict) -> tuple[int, ...]:
     return tuple(int(moves[o]) for o in OUTCOMES)
 
 
-def correlated_walk_distribution(
-    n: int, j: JointCoinDistribution, moves: dict = DEFAULT_MOVES
-) -> Distribution:
-    """Exact n-step distribution of the walk driven by a correlated pair.
+def check_walk_cost(n: int, moves: dict = DEFAULT_MOVES) -> tuple[int, int, int]:
+    """Refuse an n-step correlated-pair walk that its window cannot hold.
 
-    Sums the walk on a float64 window over the sites ``n*lo + g*i``, 0 <= i
-    <= n*span/g (``lo``: smallest move, ``span``: range of the moves, ``g``:
-    gcd of their offsets from ``lo``), by one weighted slice add per
-    displacement and step; these direct sums keep unreachable sites exactly
-    0.  The support is the positions with probability > 0.  A window above
-    ``MAX_WINDOW_SITES`` sites, or n steps over the window (plus a fixed
-    cost per step) above ``MAX_WINDOW_UPDATES`` site updates, raises
-    ValueError before allocation.
+    The walk's window covers the sites ``n*lo + g*i``, 0 <= i <= n*span
+    (``lo``: smallest move, ``g``: gcd of the moves' offsets from ``lo``,
+    ``span``: range of the moves over ``g``).  Returns ``(lo, g, span)``.
+
+    Raises
+    ------
+    ValueError
+        A negative n, a move map missing an outcome, a window above
+        ``MAX_WINDOW_SITES`` sites, or n steps over the window (plus a fixed
+        cost per step) above ``MAX_WINDOW_UPDATES`` site updates.
     """
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
@@ -145,8 +146,22 @@ def correlated_walk_distribution(
         raise ValueError(
             f"{n} steps over a window of {n * span + 1} sites exceed {MAX_WINDOW_UPDATES=}"
         )
+    return lo, g, span
+
+
+def correlated_walk_distribution(
+    n: int, j: JointCoinDistribution, moves: dict = DEFAULT_MOVES
+) -> Distribution:
+    """Exact n-step distribution of the walk driven by a correlated pair.
+
+    Sums the walk on the float64 window of :func:`check_walk_cost`, which
+    refuses it before allocation when it is over a cap, by one weighted
+    slice add per displacement and step; these direct sums keep unreachable
+    sites exactly 0.  The support is the positions with probability > 0.
+    """
+    lo, g, span = check_walk_cost(n, moves)
     step: dict[int, float] = {}  # window offset -> probability, offsets ascending
-    for d, prob in sorted(zip(step_moves, j.outcome_probs())):
+    for d, prob in sorted(zip(_read_moves(moves), j.outcome_probs())):
         if prob > 0.0:
             step[(d - lo) // g] = step.get((d - lo) // g, 0.0) + prob
     current, nxt = np.zeros(n * span + 1), np.empty(n * span + 1)

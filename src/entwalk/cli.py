@@ -44,6 +44,7 @@ from .classical import (
     OUTCOMES,
     JointCoinDistribution,
     binomial_walk_distribution,
+    check_walk_cost,
     correlated_walk_distribution,
 )
 from .coins import build_coin_operator, build_initial_coin, entanglement_entropy
@@ -105,6 +106,10 @@ class ClassicalParams:
             raise ValidationError(f"step probability must lie in [0, 1], got {self.p}")
         if self.model == "correlated" and not -1.0 <= self.rho <= 1.0:
             raise ValidationError(f"correlation must lie in [-1, 1], got {self.rho}")
+        try:
+            check_walk_cost(self.n, self.moves if self.model == "correlated" else DEFAULT_MOVES)
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from None
 
 
 @dataclass(frozen=True)

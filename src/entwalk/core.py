@@ -1,12 +1,16 @@
 """Shared containers for coin states, coin operators, joint walk states and
-probability distributions.  A joint walk state is one dense ``complex128``
-window over a box of the lattice, held coin-major: one contiguous plane of
-the box per coin basis state.
+probability distributions.  A joint walk state is one dense window over a
+box of the lattice, held coin-major: one contiguous plane of the box per
+coin basis state.
 
-Amplitudes are plain ``complex128`` throughout.  Coin basis states are indexed
-by reading the ket label as a binary numeral with the leftmost symbol most
-significant, so ``|01>`` is index 1 and ``|10>`` is index 2; the same ordering
-is used for operator rows/columns and for displacement tables.
+Coin states and operators hold ``complex128``.  A walk window is
+``complex128`` too, except that a walk whose every amplitude is real runs
+on ``float64`` (see :func:`entwalk.engine.initial_state`).
+
+Coin basis states are indexed by reading the ket label as a binary numeral
+with the leftmost symbol most significant, so ``|01>`` is index 1 and
+``|10>`` is index 2; the same ordering is used for operator rows/columns
+and for displacement tables.
 """
 
 from __future__ import annotations
@@ -37,8 +41,9 @@ __all__ = [
 
 MAX_QUBITS = 3
 
-# Cap on the amplitudes of one walk-state window, 16 bytes each; a walk
-# step holds three windows of about this size.
+# Cap on the amplitudes of one walk-state window, 16 bytes each in
+# complex128 and 8 in float64; a walk step holds three windows of about
+# this size.
 MAX_WINDOW_AMPLITUDES = 2**23
 
 # Construction-time tolerance for custom unitaries and state normalization.
@@ -173,12 +178,12 @@ def tensor_product(a: CoinOperator, b: CoinOperator) -> CoinOperator:
 class SiteAmplitudes(Mapping):
     """Read-only ``{position: coin vector}`` view of a dense amplitude window.
 
-    ``window`` is a read-only, coin-major ``complex128`` array of shape
-    ``(2**qubits, extent...)`` over a box of the lattice: ``window[c]`` is
-    the plane of coin component ``c``.  ``origin`` is the lattice position
-    of the box's index 0.  The keys are the sites with any nonzero coin
-    component, in sorted order; a key's value is its coin vector, the
-    window's column at that site.
+    ``window`` is a read-only, coin-major ``complex128`` or ``float64``
+    array of shape ``(2**qubits, extent...)`` over a box of the lattice:
+    ``window[c]`` is the plane of coin component ``c``.  ``origin`` is the
+    lattice position of the box's index 0.  The keys are the sites with any
+    nonzero coin component, in sorted order; a key's value is its coin
+    vector, the window's column at that site.
     """
 
     __slots__ = ("window", "origin", "_mask", "_keys")
@@ -246,12 +251,12 @@ class WalkState:
     """Joint walker/coin amplitudes, held as one dense window of the lattice.
 
     ``amplitudes`` maps each lattice position (tuple of ``dims`` ints) with
-    any nonzero coin component to its complex coin vector of length
-    ``2**qubits``.  It is a read-only :class:`SiteAmplitudes` view over one
-    coin-major ``complex128`` array of shape ``(2**qubits, extent...)``.  A
-    dict passed in is validated and packed into its bounding box; a view
-    taken from another state is adopted as it is.  Instances are immutable
-    values; evolution produces new ones.
+    any nonzero coin component to its coin vector of length ``2**qubits``.
+    It is a read-only :class:`SiteAmplitudes` view over one coin-major array
+    of shape ``(2**qubits, extent...)``.  A dict passed in is validated and
+    packed into its bounding box, a ``complex128`` array; a view taken from
+    another state is adopted as it is, ``float64`` windows of real walks
+    included.  Instances are immutable values; evolution produces new ones.
     """
 
     dims: int
@@ -290,10 +295,16 @@ def state_norm(state: WalkState) -> float:
     Each coin plane's squared real and imaginary parts are summed by numpy's
     pairwise reduction, and the per-plane sums are added exactly by
     ``math.fsum``.  No BLAS call is made and no window-sized temporary, so a
-    state's norm has the same bits on any number of threads.
+    state's norm has the same bits on any number of threads.  A ``float64``
+    plane is widened to ``complex128`` first: the pairwise sum then runs
+    over the same interleaved floats, zero imaginary parts included, and
+    the norm has the bits of the same walk run in ``complex128``.
     """
     planes = state.amplitudes.window
-    sums = [np.add.reduce(np.square(plane.ravel().view(np.float64))) for plane in planes]
+    sums = [
+        np.add.reduce(np.square(plane.astype(complex, copy=False).ravel().view(np.float64)))
+        for plane in planes
+    ]
     try:
         return math.fsum(sums)
     except OverflowError:  # finite plane sums whose total exceeds float64

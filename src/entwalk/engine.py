@@ -6,6 +6,8 @@ allocates one fresh window, grown by the shift's displacement range, and
 applies the coin unitary to every site at once, one broadcast product per
 coin column, into a workspace; the shift then copies each coin plane into
 the grown window.  :func:`evolve` keeps one workspace for the whole walk.
+A walk whose coin state and coin operator are both real runs on ``float64``
+windows, half the memory of ``complex128`` ones, with the same bits.
 A walk too large for a window is refused before it starts.  No
 renormalization is ever applied, so any unitarity defect accumulates
 visibly in the state norm instead of being hidden.
@@ -91,8 +93,16 @@ class WalkConfig:
 
 
 def initial_state(cfg: WalkConfig) -> WalkState:
-    """Product state: the coin state attached to a single lattice site."""
-    window = cfg.coin_state.amplitudes.reshape((-1,) + (1,) * cfg.shift.dims).copy()
+    """Product state: the coin state attached to a single lattice site.
+
+    The window is ``float64`` when neither the coin state nor the coin
+    operator has a nonzero imaginary part, so every amplitude of the walk
+    is real; otherwise it is ``complex128``.
+    """
+    amplitudes = cfg.coin_state.amplitudes
+    if not (amplitudes.imag.any() or cfg.coin_op.matrix.imag.any()):
+        amplitudes = amplitudes.real
+    window = amplitudes.reshape((-1,) + (1,) * cfg.shift.dims).copy()
     return WalkState(
         dims=cfg.shift.dims,
         qubits=cfg.coin_state.qubits,
@@ -109,10 +119,15 @@ def step(
 ) -> WalkState:
     """One walk step: coin unitary on every site of the window, then the conditional shift.
 
-    ``scratch`` is an optional workspace: a flat ``complex128`` array of at
-    least the state's window size, which the coin overwrites.  It changes
-    no result, and the returned state never shares its memory, so one
-    workspace can serve every step of a walk.
+    The returned window has the state's dtype, except that a ``float64``
+    state under an operator with a nonzero imaginary part is promoted to
+    ``complex128``.  A real product rounds as the real part of the complex
+    one, so a real walk has the bits of the same walk run in ``complex128``.
+
+    ``scratch`` is an optional workspace: a flat array of the returned
+    window's dtype and of at least the state's window size, which the coin
+    overwrites.  It changes no result, and the returned state never shares
+    its memory, so one workspace can serve every step of a walk.
     """
     if coin_op.qubits != state.qubits:
         raise ValueError(f"operator acts on {coin_op.qubits} qubit(s), state holds {state.qubits}")
@@ -122,17 +137,22 @@ def step(
         raise ValueError(f"shift is {shift.dims}D, state is {state.dims}D")
     sites = state.amplitudes
     shape, size = sites.window.shape, sites.window.size
+    matrix = coin_op.matrix
+    if sites.window.dtype == np.float64 and not matrix.imag.any():
+        matrix = matrix.real
+    if scratch is not None and scratch.dtype != matrix.dtype:
+        raise ValueError(f"scratch is {scratch.dtype}, the step writes {matrix.dtype}")
     # The grown window comes first: until the shift fills it, its leading
     # amplitudes hold the coin's products.  So at most three window-sized
     # arrays are alive at once: this state's, the tossed planes and this.
-    grown = np.empty(_shifted_shape(shape, shift), dtype=complex)
+    grown = np.empty(_shifted_shape(shape, shift), dtype=matrix.dtype)
     product = grown.reshape(-1)[:size].reshape(shape)
-    tossed = np.empty(shape, dtype=complex) if scratch is None else scratch[:size].reshape(shape)
+    tossed = np.empty(shape, dtype=matrix.dtype) if scratch is None else scratch[:size].reshape(shape)
     # Coin column j times coin plane j, summed over j in ascending order,
     # each product rounded before it is added and no BLAS: fused
     # multiply-adds would leave rounding residues where a site's components
     # cancel exactly, and exact zeros define the support.
-    columns = coin_op.matrix.reshape(coin_op.matrix.shape + (1,) * state.dims)
+    columns = matrix.reshape(matrix.shape + (1,) * state.dims)
     np.multiply(columns[:, 0], sites.window[0], out=tossed)
     for j in range(1, coin_op.dim):
         tossed += np.multiply(columns[:, j], sites.window[j], out=product)
@@ -165,21 +185,24 @@ def evolve(cfg: WalkConfig) -> WalkState:
         raise ValueError(f"{cfg.steps} steps need {work} amplitude updates, over {MAX_WALK_WORK=}")
     state = initial_state(cfg)
     # One workspace for every step's tossed planes: no step's window is
-    # larger than the final one.
-    scratch = np.empty(window, dtype=complex)
+    # larger than the final one, and every step keeps the first's dtype.
+    scratch = np.empty(window, dtype=state.amplitudes.window.dtype)
     for _ in range(cfg.steps):
         state = step(state, cfg.coin_op, cfg.shift, scratch=scratch)
     return state
 
 
 def _weights(state: WalkState) -> np.ndarray:
-    # |amplitude|^2 as a site-major contiguous copy, shape (extent..., 2**q).
+    # |amplitude|^2 as a site-major contiguous array, shape (extent..., 2**q).
     # numpy sums a contiguous row pairwise, so a site's total does not
     # depend on the window layout; a plane-by-plane sum would round
-    # differently.
+    # differently.  A real window squares once: re**2 + 0.0 is re**2.
     window = state.amplitudes.window
-    weights = window.real**2 + window.imag**2
-    return weights.transpose(*range(1, weights.ndim), 0).copy()
+    site_major = window.transpose(*range(1, window.ndim), 0)
+    weights = np.square(site_major.real, out=np.empty(site_major.shape))
+    if window.dtype != np.float64:
+        weights += np.square(site_major.imag)
+    return weights
 
 
 def position_distribution(state: WalkState) -> Distribution:

@@ -163,7 +163,7 @@ def _shift_amplitudes(
     layout = table._layout
     extent = window.shape[1:]
     if out is None:
-        out = np.empty(_shifted_shape(window.shape, table), dtype=complex)
+        out = np.empty(_shifted_shape(window.shape, table), dtype=window.dtype)
     out.fill(0)
     for c, offset in enumerate(layout.offsets):
         out[(c, *map(slice, offset, map(operator.add, offset, extent)))] = window[c]

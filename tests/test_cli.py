@@ -605,11 +605,15 @@ VALIDATION_ERRORS = {
     "[experiment]\nmode = classical\n[classical]\nn = -1\n": "classical.n must be nonnegative, got -1",
     "[experiment]\nmode = compare\nsteps = 3000\n[classical]\np = 1.5\n":  # p out of range
         "step probability must lie in [0, 1], got 1.5",
+    "[experiment]\nmode = compare\nsteps = 3000\n[classical]\nn = 20000000\n":  # window cap
+        "window of 40000001 sites exceeds MAX_WINDOW_SITES=10000000",
     "[experiment]\nmode = classical\n[classical]\nrho = -1.5\n":  # rho out of range
         "correlation must lie in [-1, 1], got -1.5",
     # the whole request is checked: a quantum run refuses a bad classical section too
     "[experiment]\nmode = quantum\n[classical]\nmodel = binomial\np = -0.5\n":
         "step probability must lie in [0, 1], got -0.5",
+    "[experiment]\nmode = entropy\ncoin = ghz3\n[classical]\nn = 4999999\n":  # time cap
+        "4999999 steps over a window of 9999999 sites exceed MAX_WINDOW_UPDATES=100000000000",
     # a missing mode wins over anything but an unknown experiment key
     "[experiment]\nsteps = abc\n[classical]\nbogus = 1\n": "experiment.mode is required",
     # the classical checks win over every experiment value
@@ -648,14 +652,22 @@ def test_compare_refuses_a_2d_walk_before_walking(tmp_path, capsys, monkeypatch)
     assert capsys.readouterr().err == "error: validation: compare mode requires a 1D walk\n"
 
 
-def test_compare_checks_classical_values_before_walking(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[experiment]\nmode = compare\nsteps = 3000\n[classical]\np = 1.5\n",
+        "[experiment]\nmode = compare\nsteps = 3000\n[classical]\nn = 20000000\n",
+    ],
+    ids=["p", "window-cap"],
+)
+def test_compare_checks_classical_values_before_walking(tmp_path, capsys, monkeypatch, text):
     def no_evolve(cfg):
-        raise AssertionError("compare mode walked before checking p")
+        raise AssertionError("compare mode walked before checking the classical walk")
 
     monkeypatch.setattr("entwalk.cli.evolve", no_evolve)
-    cfg = write_config(tmp_path, "[experiment]\nmode = compare\nsteps = 3000\n[classical]\np = 1.5\n")
+    cfg = write_config(tmp_path, text)
     assert run(cfg, quiet=True) == EXIT_VALIDATION
-    assert capsys.readouterr().err == "error: validation: step probability must lie in [0, 1], got 1.5\n"
+    assert capsys.readouterr().err == f"error: validation: {VALIDATION_ERRORS[text]}\n"
 
 
 @pytest.mark.parametrize(

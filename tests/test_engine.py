@@ -319,6 +319,100 @@ def test_walk_cost_counts_the_windows_the_steps_write(combo):
     assert work == written + cfg.steps * _STEP_OVERHEAD
 
 
+def _as_complex(state: WalkState) -> WalkState:
+    # the same amplitudes, packed from a dict into a complex128 window
+    return WalkState(dims=state.dims, qubits=state.qubits, amplitudes=dict(state.amplitudes))
+
+
+REAL_COMBOS = [
+    (coin, op, shift)
+    for coin, op, shift in ALL_COMBOS
+    if op == "hadamard_n" and not np.iscomplex(COIN_PRESETS[coin]).any()
+]
+
+
+@pytest.mark.parametrize(
+    "combo",
+    [(*c, 30) for c in REAL_COMBOS] + [("ghz3", "hadamard_n", "s_2d", 50)],
+    ids=lambda combo: "-".join(map(str, combo)),
+)
+def test_real_walk_has_the_bits_of_the_complex_walk(combo):
+    cfg = make_config(*combo)
+    real = initial_state(cfg)
+    cplx = _as_complex(real)
+    assert real.amplitudes.window.dtype == np.float64
+    assert cplx.amplitudes.window.dtype == np.complex128
+    for _ in range(cfg.steps):
+        real = step(real, cfg.coin_op, cfg.shift)
+        cplx = step(cplx, cfg.coin_op, cfg.shift)
+    assert real.amplitudes.window.dtype == np.float64
+    assert cplx.amplitudes.window.dtype == np.complex128
+    assert real.amplitudes.origin == cplx.amplitudes.origin
+    assert np.array_equal(real.amplitudes.window, cplx.amplitudes.window.real)
+    assert not cplx.amplitudes.window.imag.any()
+    assert np.array_equal(evolve(cfg).amplitudes.window, real.amplitudes.window)
+    assert list(position_distribution(real).probs.items()) == list(
+        position_distribution(cplx).probs.items()
+    )
+    assert coin_distribution(real).probs == coin_distribution(cplx).probs
+    assert state_norm(real).hex() == state_norm(cplx).hex()
+
+
+_FLIP = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "coin, op, matrix, dtype",
+    [
+        ("phi_plus", "hadamard_n", None, np.float64),
+        ("ghz3", "hadamard_n", None, np.float64),
+        ("single_hadamard_bias", "hadamard_n", None, np.float64),
+        ("phi_plus", "y_n", None, np.complex128),
+        ("inui_konno", "hadamard_n", None, np.complex128),
+        ("plus_i_product", "hadamard_n", None, np.complex128),
+        ("single_hadamard_bias", "custom", _FLIP, np.float64),
+        ("single_hadamard_bias", "custom", [[0, 1j], [1j, 0]], np.complex128),
+    ],
+)
+def test_window_dtype_follows_the_inputs(coin, op, matrix, dtype):
+    coin_state = build_initial_coin(coin)
+    cfg = WalkConfig(
+        coin_state=coin_state,
+        coin_op=build_coin_operator(op, coin_state.qubits, matrix),
+        shift=build_shift({1: "s_single", 2: "s_ec", 3: "s_2d"}[coin_state.qubits]),
+        steps=3,
+    )
+    assert initial_state(cfg).amplitudes.window.dtype == dtype
+    assert evolve(cfg).amplitudes.window.dtype == dtype
+
+
+def test_real_state_under_a_complex_operator_is_promoted():
+    cfg = make_config("theta1", "hadamard_n", "s_ec_prime", 5)
+    y = build_coin_operator("y_n", 2)
+    real = evolve(cfg)
+    cplx = _as_complex(real)
+    for _ in range(4):
+        real = step(real, y, cfg.shift)
+        cplx = step(cplx, y, cfg.shift)
+    assert real.amplitudes.window.dtype == np.complex128
+    assert real.amplitudes.origin == cplx.amplitudes.origin
+    assert np.array_equal(real.amplitudes.window, cplx.amplitudes.window)
+    with pytest.raises(ValueError, match="scratch"):
+        step(evolve(cfg), y, cfg.shift, scratch=np.empty(_walk_cost(cfg)[0]))
+
+
+def test_real_walk_peak_memory_is_about_three_real_windows():
+    # the scratch, the last state's window and the grown one, each in float64
+    cfg = make_config("ghz3", "hadamard_n", "s_2d", 50)
+    tracemalloc.start()
+    try:
+        state = evolve(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * state.amplitudes.window.size * np.dtype(np.float64).itemsize
+
+
 def test_bell_walk_symmetric_at_100_steps():
     d = position_distribution(evolve(make_config("phi_plus", "hadamard_n", "s_ec", 100)))
     for k in range(101):
