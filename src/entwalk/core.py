@@ -19,6 +19,7 @@ import math
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -158,6 +159,12 @@ class CoinOperator:
     @property
     def qubits(self) -> int:
         return self.dim.bit_length() - 1
+
+    @cached_property
+    def _real_matrix(self) -> np.ndarray | None:
+        # The matrix's real part when no entry has a nonzero imaginary
+        # part, else None; looked up once per walk step.
+        return None if self.matrix.imag.any() else self.matrix.real
 
 
 def tensor_product(a: CoinOperator, b: CoinOperator) -> CoinOperator:

@@ -100,7 +100,7 @@ def initial_state(cfg: WalkConfig) -> WalkState:
     is real; otherwise it is ``complex128``.
     """
     amplitudes = cfg.coin_state.amplitudes
-    if not (amplitudes.imag.any() or cfg.coin_op.matrix.imag.any()):
+    if cfg.coin_op._real_matrix is not None and not amplitudes.imag.any():
         amplitudes = amplitudes.real
     window = amplitudes.reshape((-1,) + (1,) * cfg.shift.dims).copy()
     return WalkState(
@@ -138,8 +138,8 @@ def step(
     sites = state.amplitudes
     shape, size = sites.window.shape, sites.window.size
     matrix = coin_op.matrix
-    if sites.window.dtype == np.float64 and not matrix.imag.any():
-        matrix = matrix.real
+    if sites.window.dtype == np.float64 and coin_op._real_matrix is not None:
+        matrix = coin_op._real_matrix
     if scratch is not None and scratch.dtype != matrix.dtype:
         raise ValueError(f"scratch is {scratch.dtype}, the step writes {matrix.dtype}")
     # The grown window comes first: until the shift fills it, its leading
