@@ -3,11 +3,15 @@ its distribution in a machine- or plot-friendly format.
 
 Usage: ``entwalk run <config> [--override key=value ...] [--quiet]``
 
-The config file has an ``[experiment]`` section (mode, presets, steps,
-output) and an optional ``[classical]`` section (binomial / correlated-pair
-parameters).  Numbered sections ``[experiment.1]``, ``[classical.1]``, ...
-define batch sub-configs layered over the base sections; each sub-config
-writes its own output file with the index inserted before the extension.
+The config file (UTF-8) has an ``[experiment]`` section (mode, presets,
+steps, output) and an optional ``[classical]`` section (binomial /
+correlated-pair parameters).  Numbered sections ``[experiment.1]``,
+``[classical.1]``, ... (no leading zeros) define batch sub-configs layered
+over the base sections; each sub-config writes its own output file with the
+index inserted before the extension.  Every job is checked before the first
+runs, so a failing config writes no file (an I/O error on a later job's
+output can still leave earlier ones).  ``seed`` is only echoed into json
+metadata; nothing draws a random number from it.
 
 Exit codes: 0 success, 2 config parse error, 3 validation error (also out of
 memory or an arithmetic error), 4 I/O error.
@@ -48,8 +52,9 @@ from .classical import (
     correlated_walk_distribution,
 )
 from .coins import build_coin_operator, build_initial_coin, entanglement_entropy
-from .core import Distribution, state_norm
+from .core import CoinState, Distribution, state_norm
 from .engine import WalkConfig, evolve, position_distribution
+from .engine import check_walk_cost as check_quantum_walk_cost
 from .shifts import SHIFT_PRESETS, build_shift
 
 __all__ = [
@@ -131,6 +136,9 @@ class ExperimentConfig:
     seed: int | None = None
     positions: tuple | None = None
     cut: int | None = None
+    # Built, and so checked, with the config: quantum/compare's walk, entropy's coin.
+    walk: WalkConfig | None = field(default=None, init=False, repr=False, compare=False)
+    coin_state: CoinState | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -141,6 +149,31 @@ class ExperimentConfig:
             )
         if self.steps < 0:
             raise ValidationError(f"steps must be nonnegative, got {self.steps}")
+        try:
+            if self.mode in ("quantum", "compare"):
+                coin_state = build_initial_coin(self.coin, self.coin_amplitudes)
+                shift = build_shift(self.shift, self.shift_table)
+                coin_op = build_coin_operator(self.coin_operator, coin_state.qubits, self.coin_matrix)
+                walk = WalkConfig(
+                    coin_state=coin_state,
+                    coin_op=coin_op,
+                    shift=shift,
+                    steps=self.steps,
+                    initial_position=self.initial_position,
+                )
+                if self.mode == "compare" and shift.dims != 1:
+                    raise ValidationError("compare mode requires a 1D walk")
+                check_quantum_walk_cost(walk)
+                object.__setattr__(self, "walk", walk)
+            elif self.mode == "entropy":
+                coin_state = build_initial_coin(self.coin, self.coin_amplitudes)
+                if coin_state.qubits < 2:
+                    raise ValidationError("entropy mode requires a coin of at least two qubits")
+                if self.cut is not None and not 1 <= self.cut < coin_state.qubits:
+                    raise ValidationError(f"cut must lie in 1..{coin_state.qubits - 1}, got {self.cut}")
+                object.__setattr__(self, "coin_state", coin_state)
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from None
 
 
 def _format_prob(p: float) -> str:
@@ -410,30 +443,11 @@ def _config_echo(exp: dict, cls: dict) -> dict:
     return echo
 
 
-def _walk_config(cfg: ExperimentConfig) -> WalkConfig:
-    try:
-        coin_state = build_initial_coin(cfg.coin, cfg.coin_amplitudes)
-        shift = build_shift(cfg.shift, cfg.shift_table)
-        coin_op = build_coin_operator(cfg.coin_operator, coin_state.qubits, cfg.coin_matrix)
-        return WalkConfig(
-            coin_state=coin_state,
-            coin_op=coin_op,
-            shift=shift,
-            steps=cfg.steps,
-            initial_position=cfg.initial_position,
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
-
-
 def _classical_distribution(params: ClassicalParams) -> Distribution:
-    try:
-        if params.model == "binomial":
-            return binomial_walk_distribution(params.n, params.p)
-        pair = JointCoinDistribution.from_correlation(params.rho)
-        return correlated_walk_distribution(params.n, pair, params.moves)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    if params.model == "binomial":
+        return binomial_walk_distribution(params.n, params.p)
+    pair = JointCoinDistribution.from_correlation(params.rho)
+    return correlated_walk_distribution(params.n, pair, params.moves)
 
 
 def _base_metadata(cfg: ExperimentConfig) -> dict:
@@ -443,10 +457,13 @@ def _base_metadata(cfg: ExperimentConfig) -> dict:
     return meta
 
 
+def _quantum_walk(cfg: ExperimentConfig) -> tuple[Distribution, float]:
+    state = evolve(cfg.walk)
+    return position_distribution(state), state_norm(state)
+
+
 def _run_quantum(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
-    state = evolve(_walk_config(cfg))
-    dist = position_distribution(state)
-    norm = state_norm(state)
+    dist, norm = _quantum_walk(cfg)
     meta = _base_metadata(cfg) | {"steps": cfg.steps, "norm": norm}
     emit_distribution(dist, cfg.output_format, path, echo, meta)
     return f"quantum walk: {cfg.steps} step(s), norm {norm:.12f}"
@@ -464,11 +481,7 @@ def _run_classical(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
 
 
 def _run_compare(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
-    walk = _walk_config(cfg)
-    if walk.shift.dims != 1:
-        raise ValidationError("compare mode requires a 1D walk")
-    state = evolve(walk)
-    qdist = position_distribution(state)
+    qdist, norm = _quantum_walk(cfg)
     cdist = _classical_distribution(cfg.classical)
     if cfg.positions is not None:
         labels = sorted(cfg.positions)
@@ -478,7 +491,7 @@ def _run_compare(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
     meta = _base_metadata(cfg) | {
         "steps": cfg.steps,
         "classical_steps": cfg.classical.n,
-        "norm": state_norm(state),
+        "norm": norm,
         "model": cfg.classical.model,
     }
     _emit_table(
@@ -489,15 +502,9 @@ def _run_compare(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
 
 
 def _run_entropy(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
-    try:
-        coin_state = build_initial_coin(cfg.coin, cfg.coin_amplitudes)
-        if coin_state.qubits < 2:
-            raise ValueError("entropy mode requires a coin of at least two qubits")
-        cuts = [cfg.cut] if cfg.cut is not None else list(range(1, coin_state.qubits))
-        entropies = [entanglement_entropy(coin_state, cut) for cut in cuts]
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
-    meta = _base_metadata(cfg) | {"coin": cfg.coin, "qubits": coin_state.qubits}
+    cuts = [cfg.cut] if cfg.cut is not None else list(range(1, cfg.coin_state.qubits))
+    entropies = [entanglement_entropy(cfg.coin_state, cut) for cut in cuts]
+    meta = _base_metadata(cfg) | {"coin": cfg.coin, "qubits": cfg.coin_state.qubits}
     _emit_table(["cut", "entropy_bits"], cuts, [entropies], cfg.output_format, path, echo, meta,
                 "entropies")
     return f"entropy: coin {cfg.coin}, {len(cuts)} cut(s)"
@@ -521,8 +528,11 @@ def _suffixed_path(path: str | None, tag: str | None) -> str | None:
 
 
 def _read_sections(path: str) -> configparser.ConfigParser:
-    with open(path) as fh:
-        text = fh.read()
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from None
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source=path)
@@ -548,30 +558,28 @@ def _apply_overrides(parser: configparser.ConfigParser, overrides) -> None:
 
 
 def _assemble_jobs(parser: configparser.ConfigParser):
-    sections = set(parser.sections())
+    # Every job, built and so checked, before the first one runs.
     tags = set()
-    for name in sections:
+    for name in parser.sections():
         base, dot, tag = name.partition(".")
         if base not in _SECTIONS:
             raise ParseError(f"unknown section [{name}]")
         if dot:
-            if not tag.isdigit():
+            # One spelling per index, so no two sections share one.
+            if not (tag.isascii() and tag.isdigit()) or str(int(tag)) != tag:
                 raise ParseError(f"batch section [{name}] must end in an integer index")
             tags.add(tag)
-    if "experiment" not in sections:
+    if not parser.has_section("experiment"):
         raise ParseError("missing required section [experiment]")
 
-    base_exp = dict(parser["experiment"])
-    base_cls = dict(parser["classical"]) if parser.has_section("classical") else {}
-    if not tags:
-        cfg = _build_experiment(base_exp, base_cls)
-        return [(cfg, _config_echo(base_exp, base_cls), None)]
+    def section(name: str) -> dict:
+        return dict(parser[name]) if parser.has_section(name) else {}
+
+    # No batch section: one job of the base sections ([experiment.None] is refused above).
     jobs = []
-    for tag in sorted(tags, key=int):
-        exp = dict(base_exp)
-        exp.update(dict(parser[f"experiment.{tag}"]) if parser.has_section(f"experiment.{tag}") else {})
-        cls = dict(base_cls)
-        cls.update(dict(parser[f"classical.{tag}"]) if parser.has_section(f"classical.{tag}") else {})
+    for tag in sorted(tags, key=int) or [None]:
+        exp = section("experiment") | section(f"experiment.{tag}")
+        cls = section("classical") | section(f"classical.{tag}")
         jobs.append((_build_experiment(exp, cls), _config_echo(exp, cls), tag))
     return jobs
 

@@ -33,6 +33,7 @@ from .shifts import DisplacementTable, _shift_amplitudes, _shifted_shape
 __all__ = [
     "MAX_WALK_WORK",
     "WalkConfig",
+    "check_walk_cost",
     "coin_distribution",
     "evolve",
     "initial_state",
@@ -170,10 +171,10 @@ def _walk_cost(cfg: WalkConfig) -> tuple[int, int]:
     return dim * math.prod(1 + n * x for x in r), dim * sites + n * _STEP_OVERHEAD
 
 
-def evolve(cfg: WalkConfig) -> WalkState:
-    """State after ``cfg.steps`` applications of the step operator.
+def check_walk_cost(cfg: WalkConfig) -> int:
+    """Refuse a walk its window cannot hold; return the final window's amplitude count.
 
-    Raises ValueError, before allocating anything, when the final window
+    Raises ValueError, without allocating anything, when the final window
     would exceed ``MAX_WINDOW_AMPLITUDES`` or the whole walk ``MAX_WALK_WORK``.
     """
     window, work = _walk_cost(cfg)
@@ -183,6 +184,16 @@ def evolve(cfg: WalkConfig) -> WalkState:
         )
     if work > MAX_WALK_WORK:
         raise ValueError(f"{cfg.steps} steps need {work} amplitude updates, over {MAX_WALK_WORK=}")
+    return window
+
+
+def evolve(cfg: WalkConfig) -> WalkState:
+    """State after ``cfg.steps`` applications of the step operator.
+
+    Raises ValueError, before allocating anything, for a walk that
+    :func:`check_walk_cost` refuses.
+    """
+    window = check_walk_cost(cfg)
     state = initial_state(cfg)
     # One workspace for every step's tossed planes: no step's window is
     # larger than the final one, and every step keeps the first's dtype.

@@ -20,7 +20,6 @@ from entwalk.cli import (
     ParseError,
     ValidationError,
     _build_experiment,
-    _walk_config,
     console_main,
     emit_distribution,
     run,
@@ -46,7 +45,7 @@ output = {out}
 
 def write_config(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -501,6 +500,11 @@ PARSE_ERRORS = {
         "experiment: unknown key(s) ['warp_drive']",
     "[mystery]\nmode = quantum\n": "unknown section [mystery]",
     "[experiment.x]\nsteps = 1\n": "batch section [experiment.x] must end in an integer index",
+    # one spelling per index: no leading zero, ASCII digits only
+    "[experiment]\nmode = quantum\n[experiment.1]\n[experiment.01]\n":
+        "batch section [experiment.01] must end in an integer index",
+    "[experiment]\nmode = quantum\n[experiment.\u00b2]\n":
+        "batch section [experiment.\u00b2] must end in an integer index",
     "[classical]\nn = 5\n": "missing required section [experiment]",
     # each inline parser
     "[experiment]\nmode = quantum\ncoin = custom\ncoin_amplitudes = (1, 0, 0)\n":
@@ -571,6 +575,16 @@ def test_exit_code_parse_errors(tmp_path, capsys, text):
     assert run(cfg, quiet=True) == EXIT_PARSE
     expected = "error: config parse: " + PARSE_ERRORS[text].replace("{path}", cfg) + "\n"
     assert capsys.readouterr().err == expected
+
+
+def test_undecodable_config_is_a_parse_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_bytes(b"[experiment]\nmode = quantum\ncoin = \xff\n")
+    assert run(str(cfg), quiet=True) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"error: config parse: {cfg}: 'utf-8' codec can't decode byte 0xff in position 35: "
+        "invalid start byte\n"
+    )
 
 
 def test_configparser_errors_are_one_stderr_line(tmp_path, capsys):
@@ -670,6 +684,45 @@ def test_compare_checks_classical_values_before_walking(tmp_path, capsys, monkey
     assert capsys.readouterr().err == f"error: validation: {VALIDATION_ERRORS[text]}\n"
 
 
+# A batch fault in [experiment.2] -> its error line, the one a single-job
+# config with the same fault reports.
+BATCH_FAULTS = {
+    "coin": ("coin = bogus\n", VALIDATION_ERRORS["[experiment]\nmode = quantum\ncoin = bogus\n"]),
+    "cut": ("mode = entropy\ncut = 2\n", "cut must lie in 1..1, got 2"),
+    "window-cap": (
+        "coin = ghz3\nshift = s_2d\nsteps = 1000000000\n",
+        "1000000000 steps need a window of 32000000032000000008 amplitudes, "
+        "over MAX_WINDOW_AMPLITUDES=8388608",
+    ),
+    "compare-2d": ("mode = compare\ncoin = ghz3\nshift = s_2d\n", "compare mode requires a 1D walk"),
+}
+
+
+@pytest.mark.parametrize("fault", BATCH_FAULTS)
+def test_batch_fault_in_a_later_job_writes_no_file(tmp_path, capsys, fault):
+    section, message = BATCH_FAULTS[fault]
+    cfg = write_config(
+        tmp_path,
+        QUANTUM_BASE.format(steps=2, fmt="csv", out=tmp_path / "out.csv")
+        + "\n[experiment.1]\nsteps = 1\n\n[experiment.2]\n" + section,
+    )
+    assert run(cfg, quiet=True) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: validation: {message}\n"
+    assert list(tmp_path.glob("out*")) == []
+
+
+def test_batch_reports_the_first_jobs_walk_fault_before_a_later_parse_fault(tmp_path, capsys):
+    # every job is built in index order, walk included, so job 1's unknown
+    # coin is found before job 2's unparsable steps
+    cfg = write_config(
+        tmp_path,
+        QUANTUM_BASE.format(steps=2, fmt="csv", out=tmp_path / "out.csv")
+        + "\n[experiment.1]\ncoin = bogus\n\n[experiment.2]\nsteps = abc\n",
+    )
+    assert run(cfg, quiet=True) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: validation: unknown coin preset 'bogus'")
+
+
 @pytest.mark.parametrize(
     "exc",
     [MemoryError(), MemoryError("no room\nfor it"), OverflowError("math range error"),
@@ -734,6 +787,6 @@ def test_inline_values_fail_only_as_config_errors(key, text):
     cls = {}
     (cls if key == "moves" else exp)[key] = text
     try:
-        _walk_config(_build_experiment(exp, cls))
+        _build_experiment(exp, cls)
     except (ParseError, ValidationError):
         pass

@@ -10,6 +10,7 @@ from entwalk.engine import (
     _STEP_OVERHEAD,
     WalkConfig,
     _walk_cost,
+    check_walk_cost,
     coin_distribution,
     evolve,
     initial_state,
@@ -296,11 +297,12 @@ def _with_shift(table, steps):
         (_with_shift([0, 0, 0, 0], 10**9), "MAX_WALK_WORK"),
     ],
 )
-def test_evolve_refuses_oversized_walks_before_allocating(cfg, cap):
+@pytest.mark.parametrize("walk", [evolve, check_walk_cost])
+def test_evolve_refuses_oversized_walks_before_allocating(walk, cfg, cap):
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=cap):
-            evolve(cfg)
+            walk(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
