@@ -37,8 +37,8 @@ _SUM_TOL = 1e-12
 
 MAX_WINDOW_SITES = 10_000_000  # window cap; at most three float64 arrays this long are live
 
-# Time cap on n steps over the full window: about 1 ns per site update on
-# one 2-vCPU host, so a minute or two of summing.
+# Time cap on n steps over the full window: about 1.1-2 ns per counted site
+# update on one 2-vCPU host (numpy 2.4.6), so two to three minutes of summing.
 MAX_WINDOW_UPDATES = 10**11
 
 # Site updates that one step's fixed cost is worth (~3.5 us a step), so a
@@ -64,6 +64,13 @@ class JointCoinDistribution:
             raise ValueError(f"outcome probabilities sum to {total!r}, expected 1")
 
     @classmethod
+    def from_bias(cls, p: float) -> "JointCoinDistribution":
+        """Maximally correlated pair with P(hh) = p and P(tt) = 1 - p."""
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"step probability must lie in [0, 1], got {p}")
+        return cls(p_hh=p, p_ht=0.0, p_th=0.0, p_tt=1.0 - p)
+
+    @classmethod
     def from_correlation(cls, rho: float) -> "JointCoinDistribution":
         """Fair-marginal pair with correlation coefficient ``rho``.
 
@@ -84,12 +91,10 @@ class JointCoinDistribution:
 def binomial_walk_distribution(n: int, p: float) -> Distribution:
     """Exact n-step distribution of the independent ±1 walk.
 
-    Each step moves +1 with probability ``p``, else -1: the maximally
-    correlated pair walk with P(hh) = p, P(tt) = 1 - p and ``DEFAULT_MOVES``.
+    Each step moves +1 with probability ``p``, else -1: the walk of
+    ``JointCoinDistribution.from_bias(p)`` under ``DEFAULT_MOVES``.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"step probability must lie in [0, 1], got {p}")
-    return correlated_walk_distribution(n, JointCoinDistribution(p, 0.0, 0.0, 1.0 - p))
+    return correlated_walk_distribution(n, JointCoinDistribution.from_bias(p))
 
 
 def correlation(j: JointCoinDistribution) -> float:

@@ -97,6 +97,8 @@ class ClassicalParams:
     p: float = 0.5
     rho: float = 1.0
     moves: dict = field(default_factory=lambda: dict(DEFAULT_MOVES))
+    # Built, and so checked, with the params: the model's coin pair.
+    pair: JointCoinDistribution | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.model not in ("binomial", "correlated"):
@@ -105,13 +107,12 @@ class ClassicalParams:
             )
         if self.n < 0:
             raise ValidationError(f"classical.n must be nonnegative, got {self.n}")
-        # The walks' own messages, so a bad value reads the same whether it
-        # is caught here or by the classical module.
-        if self.model == "binomial" and not 0.0 <= self.p <= 1.0:
-            raise ValidationError(f"step probability must lie in [0, 1], got {self.p}")
-        if self.model == "correlated" and not -1.0 <= self.rho <= 1.0:
-            raise ValidationError(f"correlation must lie in [-1, 1], got {self.rho}")
         try:
+            if self.model == "binomial":
+                pair = JointCoinDistribution.from_bias(self.p)
+            else:
+                pair = JointCoinDistribution.from_correlation(self.rho)
+            object.__setattr__(self, "pair", pair)
             check_walk_cost(self.n, self.moves if self.model == "correlated" else DEFAULT_MOVES)
         except ValueError as exc:
             raise ValidationError(str(exc)) from None
@@ -446,8 +447,7 @@ def _config_echo(exp: dict, cls: dict) -> dict:
 def _classical_distribution(params: ClassicalParams) -> Distribution:
     if params.model == "binomial":
         return binomial_walk_distribution(params.n, params.p)
-    pair = JointCoinDistribution.from_correlation(params.rho)
-    return correlated_walk_distribution(params.n, pair, params.moves)
+    return correlated_walk_distribution(params.n, params.pair, params.moves)
 
 
 def _base_metadata(cfg: ExperimentConfig) -> dict:

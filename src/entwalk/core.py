@@ -126,10 +126,6 @@ class CoinState:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def dim(self) -> int:
-        return 2**self.qubits
-
 
 @dataclass(frozen=True)
 class CoinOperator:
@@ -291,9 +287,6 @@ class WalkState:
 
     def positions(self) -> list[tuple[int, ...]]:
         return list(self.amplitudes)
-
-    def norm(self) -> float:
-        return state_norm(self)
 
 
 def state_norm(state: WalkState) -> float:

@@ -91,11 +91,6 @@ class DisplacementTable:
         span = tuple(max(axis) - low for axis, low in zip(axes, lo))
         return _Layout(lo, span, tuple(tuple(map(operator.sub, row, lo)) for row in self.table))
 
-    @property
-    def max_displacement(self) -> int:
-        """Largest per-axis displacement magnitude; bounds the reachable window."""
-        return max(abs(x) for row in self.table for x in row)
-
     def negated(self) -> "DisplacementTable":
         """Table of the inverse shift (every displacement sign-flipped)."""
         return DisplacementTable(

@@ -31,6 +31,7 @@ def test_joint_distribution_validates():
         JointCoinDistribution(1.5, -0.5, 0.0, 0.0)
     with pytest.raises(ValueError, match="correlation"):
         JointCoinDistribution.from_correlation(1.5)
+    assert JointCoinDistribution.from_bias(0.3).outcome_probs() == (0.3, 0.0, 0.0, 0.7)
 
 
 def test_from_correlation_fair_marginals():
@@ -101,8 +102,11 @@ def test_binomial_support_parity(n):
 def test_binomial_rejects_bad_args():
     with pytest.raises(ValueError):
         binomial_walk_distribution(-1, 0.5)
-    with pytest.raises(ValueError):
-        binomial_walk_distribution(5, 1.5)
+    for p in (1.5, -0.5, math.nan):
+        with pytest.raises(ValueError, match="step probability"):
+            binomial_walk_distribution(5, p)
+        with pytest.raises(ValueError, match="step probability"):
+            JointCoinDistribution.from_bias(p)
 
 
 def test_correlation_three_reference_pairs():

@@ -24,7 +24,7 @@ from entwalk.cli import (
     emit_distribution,
     run,
 )
-from entwalk.classical import binomial_walk_distribution
+from entwalk.classical import JointCoinDistribution, binomial_walk_distribution
 from entwalk.coins import build_coin_operator, build_initial_coin
 from entwalk.core import Distribution
 from entwalk.engine import WalkConfig, evolve, position_distribution
@@ -623,6 +623,8 @@ VALIDATION_ERRORS = {
         "window of 40000001 sites exceeds MAX_WINDOW_SITES=10000000",
     "[experiment]\nmode = classical\n[classical]\nrho = -1.5\n":  # rho out of range
         "correlation must lie in [-1, 1], got -1.5",
+    "[experiment]\nmode = compare\nsteps = 3000\n[classical]\nrho = -1.5\n":
+        "correlation must lie in [-1, 1], got -1.5",
     # the whole request is checked: a quantum run refuses a bad classical section too
     "[experiment]\nmode = quantum\n[classical]\nmodel = binomial\np = -0.5\n":
         "step probability must lie in [0, 1], got -0.5",
@@ -670,9 +672,10 @@ def test_compare_refuses_a_2d_walk_before_walking(tmp_path, capsys, monkeypatch)
     "text",
     [
         "[experiment]\nmode = compare\nsteps = 3000\n[classical]\np = 1.5\n",
+        "[experiment]\nmode = compare\nsteps = 3000\n[classical]\nrho = -1.5\n",
         "[experiment]\nmode = compare\nsteps = 3000\n[classical]\nn = 20000000\n",
     ],
-    ids=["p", "window-cap"],
+    ids=["p", "rho", "window-cap"],
 )
 def test_compare_checks_classical_values_before_walking(tmp_path, capsys, monkeypatch, text):
     def no_evolve(cfg):
@@ -682,6 +685,25 @@ def test_compare_checks_classical_values_before_walking(tmp_path, capsys, monkey
     cfg = write_config(tmp_path, text)
     assert run(cfg, quiet=True) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: validation: {VALIDATION_ERRORS[text]}\n"
+
+
+@pytest.mark.parametrize(
+    "model, builder", [("binomial", "from_bias"), ("correlated", "from_correlation")]
+)
+def test_cli_takes_classical_value_checks_from_classical(tmp_path, capsys, monkeypatch, model, builder):
+    # The p and rho rules live in classical: whatever its pair builder
+    # refuses, the CLI refuses with that message, before any walk.
+    def refuse(value):
+        raise ValueError("sentinel")
+
+    def no_evolve(cfg):
+        raise AssertionError("compare mode walked before checking the classical walk")
+
+    monkeypatch.setattr(JointCoinDistribution, builder, refuse)
+    monkeypatch.setattr("entwalk.cli.evolve", no_evolve)
+    cfg = write_config(tmp_path, f"[experiment]\nmode = compare\n[classical]\nmodel = {model}\n")
+    assert run(cfg, quiet=True) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: validation: sentinel\n"
 
 
 # A batch fault in [experiment.2] -> its error line, the one a single-job

@@ -69,12 +69,6 @@ def test_custom_table_rejects_bad_shapes():
         build_shift("custom", [1, -1] * 8)  # 16 entries -> 4 qubits
 
 
-def test_max_displacement():
-    assert build_shift("s_ec").max_displacement == 1
-    assert build_shift("s_3b").max_displacement == 3
-    assert build_shift("s_2d").max_displacement == 1
-
-
 def test_apply_shift_moves_basis_amplitude():
     state = WalkState(dims=1, qubits=2, amplitudes={(0,): [1, 0, 0, 0]})
     moved = apply_shift(state, build_shift("s_ec"))
