@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import gc
 import io
-import json
 import sys
 from dataclasses import dataclass, field
 from itertools import islice
@@ -237,6 +237,8 @@ def _write_table(
     # several.  ``box`` zero-fills the labels' bounding box in gnuplot.
     def write(out: io.TextIOBase) -> None:
         if output_format == "json":
+            import json  # only json output pays for the import
+
             keys = labels[0] if len(labels) == 1 else [list(k) for k in zip(*labels)]
             doc = {"config": config_echo, "metadata": metadata,
                    json_key: [list(row) for row in zip(keys, *values)]}
@@ -619,6 +621,11 @@ def run(config_path: str, overrides=(), quiet: bool = False) -> int:
 
 
 def console_main(argv=None) -> int:
+    # Everything imported so far lives until exit: freezing it spares every
+    # later collection, and the one at interpreter teardown, from walking
+    # numpy's objects.  Frozen after run() instead, the run's garbage would
+    # stay alive too.
+    gc.freeze()
     ap = argparse.ArgumentParser(
         prog="entwalk",
         description="Quantum walks with multi-qubit coins: config-driven experiment runner.",

@@ -77,7 +77,11 @@ def _as_complex_matrix(entries) -> np.ndarray:
 
 
 def _unitarity_defect(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))))
+    # M M^dag by einsum's own loops, not BLAS, like the CoinState norm: the
+    # verdict does not depend on the BLAS build or its thread count, and a
+    # quantum walk never touches BLAS.
+    gram = np.einsum("ik,jk->ij", m, m.conj())
+    return float(np.max(np.abs(gram - np.eye(m.shape[0]))))
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -120,7 +124,7 @@ class CoinState:
             )
         if not np.isfinite(amps.view(float)).all():
             raise ValueError("amplitudes must be finite")
-        norm_sq = float(np.vdot(amps, amps).real)
+        norm_sq = float(np.add.reduce(np.square(amps.view(np.float64))))
         if abs(norm_sq - 1.0) > UNITARITY_TOL:
             raise ValueError(f"amplitudes are not normalized: |psi|^2 = {norm_sq!r}")
         amps.flags.writeable = False

@@ -48,9 +48,11 @@ __all__ = [
 MAX_WALK_WORK = 10**10
 
 # Amplitude updates charged for one step's fixed cost, so a walk whose window
-# never grows is capped too.  A one-site step takes ~15-30 us in 1D and
-# ~30-50 us with a 3-qubit 2D coin on that host, more than 512 updates.
-_STEP_OVERHEAD = 512
+# never grows is capped too.  A one-site step takes ~18-25 us with a 2-qubit
+# coin and ~32-34 us with a 3-qubit one on that host, the time of ~1600-3800
+# updates at the rates above; so the cap stops such a walk at ~2.4 million
+# steps, under a minute and a half.
+_STEP_OVERHEAD = 4096
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -628,6 +629,9 @@ VALIDATION_ERRORS = {
     # the whole request is checked: a quantum run refuses a bad classical section too
     "[experiment]\nmode = quantum\n[classical]\nmodel = binomial\np = -0.5\n":
         "step probability must lie in [0, 1], got -0.5",
+    "[experiment]\nmode = quantum\nshift = custom\nshift_table = 0 0 0 0\nsteps = 3000000\n":
+        # a walk that never grows still pays each step's fixed cost
+        "3000000 steps need 12300000000 amplitude updates, over MAX_WALK_WORK=10000000000",
     "[experiment]\nmode = entropy\ncoin = ghz3\n[classical]\nn = 4999999\n":  # time cap
         "4999999 steps over a window of 9999999 sites exceed MAX_WINDOW_UPDATES=100000000000",
     # a missing mode wins over anything but an unknown experiment key
@@ -763,7 +767,14 @@ def test_resource_and_arithmetic_errors_exit_as_validation(tmp_path, capsys, mon
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_console_main_runs_subcommand(tmp_path, capsys):
+@pytest.fixture
+def unfreeze_gc():
+    # console_main freezes the heap; the rest of the session collects normally
+    yield
+    gc.unfreeze()
+
+
+def test_console_main_runs_subcommand(tmp_path, capsys, unfreeze_gc):
     out = tmp_path / "walk.csv"
     cfg = write_config(tmp_path, QUANTUM_BASE.format(steps=2, fmt="csv", out=out))
     assert console_main(["run", cfg, "--quiet"]) == EXIT_OK
@@ -773,6 +784,28 @@ def test_console_main_runs_subcommand(tmp_path, capsys):
         == EXIT_OK
     )
     assert "3 step(s)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_console_main_freezes_the_loaded_heap_and_imports_json_only_for_json(tmp_path, fmt):
+    out = tmp_path / f"walk.{fmt}"
+    cfg = write_config(tmp_path, QUANTUM_BASE.format(steps=2, fmt=fmt, out=out))
+    probe = (
+        "import gc, sys\n"
+        "from entwalk.cli import console_main\n"
+        "assert console_main(sys.argv[1:]) == 0\n"
+        "print(gc.get_freeze_count(), 'json' in sys.modules)\n"
+    )
+    src = str(Path(entwalk.__file__).parent.parent)
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", probe, "run", cfg, "--quiet"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    frozen, json_loaded = result.stdout.split()
+    assert int(frozen) > 0
+    assert json_loaded == str(fmt == "json")
+    assert out.exists()
 
 
 def test_emit_distribution_rejects_unknown_format(tmp_path):

@@ -66,6 +66,15 @@ def test_coin_state_validates_norm():
     CoinState(qubits=1, amplitudes=[SQRT1_2, SQRT1_2])
     with pytest.raises(ValueError, match="not normalized"):
         CoinState(qubits=1, amplitudes=[1.0, 1.0])
+    # at the tolerance's edge: |psi|^2 = 1 +- 5e-13 passes, 1 +- 2e-12 does not
+    for offset, accepted in [(5e-13, True), (-5e-13, True), (2e-12, False), (-2e-12, False)]:
+        amps = np.array([0.6, 0.8j]) * math.sqrt(1.0 + offset)
+        assert abs(math.fsum(abs(a) ** 2 for a in amps) - (1.0 + offset)) < 1e-15
+        if accepted:
+            CoinState(qubits=1, amplitudes=amps)
+        else:
+            with pytest.raises(ValueError, match="not normalized"):
+                CoinState(qubits=1, amplitudes=amps)
 
 
 def test_coin_state_validates_length_and_range():
@@ -85,6 +94,15 @@ def test_coin_state_amplitudes_are_read_only():
 
 def test_coin_operator_validates_unitarity():
     CoinOperator(HADAMARD)
+    # at the tolerance's edge: max |U U^dag - I| = 2 eps for U = (1 + eps) Y
+    for eps, accepted in [(2.5e-13, True), (1e-12, False)]:
+        u = Y * (1.0 + eps)
+        assert check_unitary(u) is accepted
+        if accepted:
+            CoinOperator(u)
+        else:
+            with pytest.raises(ValueError, match="not unitary: max .* = 2.000e-12"):
+                CoinOperator(u)
     with pytest.raises(ValueError, match="not unitary"):
         CoinOperator(np.full((4, 4), 0.5))
     with pytest.raises(ValueError, match="dimension"):
