@@ -621,6 +621,14 @@ def run(config_path: str, overrides=(), quiet: bool = False) -> int:
 
 
 def console_main(argv=None) -> int:
+    """Process entry point of the ``entwalk`` command: parse ``argv`` and
+    call :func:`run`.
+
+    It first calls ``gc.freeze()``, which moves the caller's whole heap to
+    the collector's permanent generation and leaves it there: cyclic garbage
+    made before the call is never collected.  An in-process caller that
+    wants no such side effect calls :func:`run` directly.
+    """
     # Everything imported so far lives until exit: freezing it spares every
     # later collection, and the one at interpreter teardown, from walking
     # numpy's objects.  Frozen after run() instead, the run's garbage would

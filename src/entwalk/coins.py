@@ -10,7 +10,6 @@ the Hadamard matrix and from Y = (1/sqrt(2)) [[1, i], [i, 1]].
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -77,29 +76,14 @@ def build_initial_coin(preset: str, custom_amplitudes=None) -> CoinState:
         if 2**qubits != amps.shape[0]:
             raise ValueError(f"amplitude count {amps.shape[0]} is not a power of two")
         return CoinState(qubits=qubits, amplitudes=amps)
-    if preset not in COIN_PRESETS:
+    try:
+        amps = COIN_PRESETS[preset]
+    except KeyError:
         raise ValueError(
             f"unknown coin preset {preset!r}; expected one of "
             f"{sorted(COIN_PRESETS)} or 'custom'"
-        )
-    return _preset_coin(preset)
-
-
-# Preset states and operators are immutable, so each is built, and checked,
-# once a process; custom ones are built on every call.
-@functools.cache
-def _preset_coin(preset: str) -> CoinState:
-    amps = COIN_PRESETS[preset]
+        ) from None
     return CoinState(qubits=len(amps).bit_length() - 1, amplitudes=np.array(amps, dtype=complex))
-
-
-@functools.cache
-def _preset_operator(kind: str, qubits: int) -> CoinOperator:
-    base = _HADAMARD if kind == "hadamard_n" else _Y
-    matrix = base
-    for _ in range(qubits - 1):
-        matrix = _kron(matrix, base)
-    return CoinOperator(matrix)
 
 
 def build_coin_operator(kind: str, qubits: int, custom_matrix=None) -> CoinOperator:
@@ -136,9 +120,16 @@ def build_coin_operator(kind: str, qubits: int, custom_matrix=None) -> CoinOpera
         if op.qubits != qubits:
             raise ValueError(f"custom matrix acts on {op.qubits} qubit(s), expected {qubits}")
         return op
-    if kind not in ("hadamard_n", "y_n"):
+    if kind == "hadamard_n":
+        base = _HADAMARD
+    elif kind == "y_n":
+        base = _Y
+    else:
         raise ValueError(f"unknown coin operator kind {kind!r}; expected one of {COIN_OPERATOR_KINDS}")
-    return _preset_operator(kind, qubits)
+    matrix = base
+    for _ in range(qubits - 1):
+        matrix = _kron(matrix, base)
+    return CoinOperator(matrix)
 
 
 def entanglement_entropy(state: CoinState, cut: int = 1) -> float:

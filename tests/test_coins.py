@@ -44,14 +44,12 @@ def test_preset_amplitudes_exact(name, expected):
 def test_preset_states_normalized(name):
     state = build_initial_coin(name)
     assert abs(np.vdot(state.amplitudes, state.amplitudes).real - 1.0) <= 1e-12
-    assert build_initial_coin(name) is state  # a preset is built once a process
 
 
 def test_custom_coin_state():
     state = build_initial_coin("custom", [1, 0, 0, 0])
     assert state.qubits == 2
     assert state.amplitudes[0] == 1.0 + 0j
-    assert build_initial_coin("custom", [1, 0, 0, 0]) is not state  # custom states are not cached
 
 
 def test_custom_coin_rejects_unnormalized():
@@ -95,15 +93,11 @@ def test_y_operator_entries():
     yy = build_coin_operator("y_n", 2).matrix
     assert yy[0, 3] == pytest.approx(-0.5, abs=1e-15)
     assert set(np.round(yy.flatten() * 2, 12)) <= {1, -1, 1j, -1j}
-    # an operator preset is built once a process per (kind, qubits)
-    assert build_coin_operator("y_n", 2).matrix is yy
-    assert build_coin_operator("hadamard_n", 2).matrix is not yy
 
 
 def test_custom_operator_accepts_unitary_rejects_other():
     op = build_coin_operator("custom", 1, np.eye(2))
     assert np.array_equal(op.matrix, np.eye(2))
-    assert build_coin_operator("custom", 1, np.eye(2)) is not op  # custom operators are not cached
     with pytest.raises(ValueError, match="not unitary"):
         build_coin_operator("custom", 2, np.full((4, 4), 0.5))
     with pytest.raises(ValueError, match="expected 2"):

@@ -51,10 +51,12 @@ def test_check_unitary_accepts_hadamard():
 
 def test_check_unitary_rejects_constant_half_matrix():
     assert not check_unitary(np.full((4, 4), 0.5), tol=1e-12)
+    assert not check_unitary(np.full((16, 16), 0.25), tol=1e-12)  # past coin size
 
 
 def test_check_unitary_accepts_y_tensor_y():
     assert check_unitary(np.kron(Y, Y), tol=1e-12)
+    assert check_unitary(np.kron(np.kron(Y, Y), np.kron(Y, Y)), tol=1e-12)  # past coin size
 
 
 def test_check_unitary_rejects_non_square():
