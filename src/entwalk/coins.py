@@ -10,6 +10,7 @@ the Hadamard matrix and from Y = (1/sqrt(2)) [[1, i], [i, 1]].
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -135,9 +136,17 @@ def build_coin_operator(kind: str, qubits: int, custom_matrix=None) -> CoinOpera
 def entanglement_entropy(state: CoinState, cut: int = 1) -> float:
     """Von Neumann entropy of one side of a bipartition of a coin state.
 
-    The amplitude vector is reshaped into a ``2**cut x 2**(q - cut)``
-    coefficient matrix whose singular values are the Schmidt coefficients;
-    the entropy is ``-sum sigma_i^2 log2 sigma_i^2`` with 0 log 0 taken as 0.
+    The amplitude vector is read as a ``2**cut x 2**(q - cut)`` coefficient
+    matrix.  For q <= 3 one side of it has length 2: its two rows ``a`` and
+    ``b`` (cut 1), or its two columns (cut q - 1).  The squared Schmidt
+    coefficients are then the eigenvalues of the 2x2 Gram matrix of ``a``
+    and ``b``, found in closed form in plain Python: the larger is
+    ``(tr + hypot(|a|^2 - |b|^2, 2 |<a, b>|)) / 2`` with ``tr = |a|^2 + |b|^2``,
+    the smaller is the determinant divided by the larger, and the
+    determinant is the Cauchy-Binet sum ``sum_{i<j} |a_i b_j - a_j b_i|^2``.
+    The smaller eigenvalue is never a difference of nearly equal numbers,
+    so it keeps its relative accuracy on near-product states.  The
+    entropy is ``-sum lambda log2 lambda`` over the nonzero eigenvalues.
 
     Parameters
     ----------
@@ -160,8 +169,30 @@ def entanglement_entropy(state: CoinState, cut: int = 1) -> float:
         raise ValueError("entanglement entropy requires at least two qubits")
     if not 1 <= cut < state.qubits:
         raise ValueError(f"cut must lie in 1..{state.qubits - 1}, got {cut}")
-    coeffs = state.amplitudes.reshape(2**cut, 2 ** (state.qubits - cut))
-    sigma = np.linalg.svd(coeffs, compute_uv=False)
-    lam = sigma**2
-    lam = lam[lam > 0.0]
-    return float(-np.sum(lam * np.log2(lam))) + 0.0
+    amps = state.amplitudes.tolist()
+    if cut == 1:
+        half = len(amps) // 2
+        a, b = amps[:half], amps[half:]
+    else:
+        # q = 3, cut 2: a 4x2 matrix, whose columns are the length-2 side
+        a, b = amps[0::2], amps[1::2]
+    # math.fsum, not sum: its exactly rounded result does not depend on the
+    # Python version (sum compensates float sums from 3.12 on)
+    norm_a = math.fsum(map(_weight, a))
+    norm_b = math.fsum(map(_weight, b))
+    inner = [x.conjugate() * y for x, y in zip(a, b)]  # the terms of <a, b>
+    inner_abs = math.hypot(math.fsum(z.real for z in inner), math.fsum(z.imag for z in inner))
+    det = math.fsum(
+        _weight(a[i] * b[j] - a[j] * b[i]) for i, j in itertools.combinations(range(len(a)), 2)
+    )
+    lam_max = (norm_a + norm_b + math.hypot(norm_a - norm_b, 2.0 * inner_abs)) / 2.0
+    out = 0.0
+    for lam in (lam_max, det / lam_max):
+        if lam > 0.0:
+            out -= lam * math.log2(lam)
+    return out + 0.0
+
+
+def _weight(z: complex) -> float:
+    """|z|^2, without the extra rounding of ``abs(z) ** 2``."""
+    return z.real * z.real + z.imag * z.imag

@@ -6,7 +6,9 @@ the library uses, so shared bugs are unlikely:
 - dense window evolution: explicit kron and permutation matrices over a
   wrapped window of fixed size, instead of the engine's per-column coin
   contraction and slice copies into a growing window;
-- entropy via closed-form 2x2 Gram eigenvalues instead of an SVD;
+- entropy via both roots of the 2x2 Gram matrix's characteristic
+  polynomial, the Gram matrix formed by a numpy matrix product, instead of
+  the library's Cauchy-Binet determinant in plain Python;
 - classical endpoint distribution by enumerating every outcome sequence
   instead of dynamic programming;
 - binomial probabilities as exact fractions.
@@ -87,6 +89,12 @@ def gram_entropy(amps: np.ndarray, cut: int, qubits: int) -> float:
     Works for any cut of a 2- or 3-qubit pure state: the coefficient matrix
     always has a side of length 2, and the Gram matrix on that side shares
     the nonzero spectrum with the Schmidt decomposition.
+
+    The eigenvalues are the roots ``(tr +- disc) / 2``.  The smaller root is
+    a difference of nearly equal numbers on a near-product state, so it
+    loses its relative accuracy there (at ``cos t|00> + sin t|11>``,
+    t = 1e-9, it is 0 instead of ~1e-18): compare against this oracle only
+    to an absolute 1e-12.
     """
     m = np.asarray(amps, dtype=complex).reshape(2**cut, 2 ** (qubits - cut))
     g = m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m

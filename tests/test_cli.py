@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -386,6 +387,44 @@ def test_entropy_mode_single_cut_json(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["entropies"][0][0] == 1
     assert doc["entropies"][0][1] == pytest.approx(0.3545789026652698, abs=1e-12)
+
+
+# A complex 3-qubit state entangled at both cuts; its squared parts sum to 1.
+COMPLEX3 = "(0.5, 0.1) (0.4, -0.2) (-0.3, 0.4) (0.1, 0) (0.2, -0.3) (0, 0.2) (-0.1, 0.1) (0.3, 0)"
+
+
+@pytest.mark.parametrize(
+    "coin,expected",
+    [
+        ("phi_plus", "1,1\n"),
+        ("phi_minus", "1,1\n"),
+        ("psi_plus", "1,1\n"),
+        ("psi_minus", "1,1\n"),
+        ("ghz3", "1,1\n2,1\n"),
+        ("theta0", "1,0\n"),
+        ("theta1", "1,0.354578902665\n"),
+        ("plus_i_product", "1,0\n"),
+        ("inui_konno", "1,0\n"),
+        pytest.param(
+            f"custom\ncoin_amplitudes = {COMPLEX3}\ncut = 1", "1,0.781880974587\n", id="complex3-cut1"
+        ),
+        pytest.param(
+            f"custom\ncoin_amplitudes = {COMPLEX3}\ncut = 2", "2,0.82517382567\n", id="complex3-cut2"
+        ),
+    ],
+)
+def test_entropy_mode_makes_no_linalg_call(tmp_path, monkeypatch, coin, expected):
+    # the expected rows are the ones an SVD of the coefficient matrix gives
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called on the entropy path")
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    out = tmp_path / "ent.csv"
+    cfg = write_config(tmp_path, f"[experiment]\nmode = entropy\ncoin = {coin}\noutput = {out}\n")
+    assert run(cfg, quiet=True) == EXIT_OK
+    assert out.read_text() == "cut,entropy_bits\n" + expected
 
 
 def test_2d_walk_csv_header_and_labels(tmp_path):

@@ -115,18 +115,51 @@ def test_unknown_operator_kind_rejected():
 
 @pytest.mark.parametrize("name", ["phi_plus", "phi_minus", "psi_plus", "psi_minus"])
 def test_maximally_entangled_two_qubit_states(name):
-    assert entanglement_entropy(build_initial_coin(name), 1) == pytest.approx(1.0, abs=1e-12)
+    assert entanglement_entropy(build_initial_coin(name), 1) == 1.0
 
 
 @pytest.mark.parametrize("name", ["theta0", "plus_i_product", "inui_konno"])
 def test_product_presets_have_zero_entropy(name):
-    assert entanglement_entropy(build_initial_coin(name), 1) == pytest.approx(0.0, abs=1e-12)
+    # exactly 0: every 2x2 minor of a product preset cancels exactly
+    assert entanglement_entropy(build_initial_coin(name), 1) == 0.0
 
 
 def test_ghz_entropy_both_cuts():
     ghz = build_initial_coin("ghz3")
-    assert entanglement_entropy(ghz, 1) == pytest.approx(1.0, abs=1e-12)
-    assert entanglement_entropy(ghz, 2) == pytest.approx(1.0, abs=1e-12)
+    assert entanglement_entropy(ghz, 1) == 1.0
+    assert entanglement_entropy(ghz, 2) == 1.0
+
+
+def svd_entropy(amps: np.ndarray, cut: int, qubits: int) -> float:
+    """Reference entropy from the singular values of the coefficient matrix."""
+    sigma = np.linalg.svd(amps.reshape(2**cut, 2 ** (qubits - cut)), compute_uv=False)
+    lam = sigma**2
+    lam = lam[lam > 0.0]
+    return float(-np.sum(lam * np.log2(lam)))
+
+
+@pytest.mark.parametrize("qubits", [2, 3])
+def test_random_complex_states_match_svd_and_gram_oracle(qubits):
+    rng = np.random.default_rng(20040 + qubits)
+    for _ in range(50):
+        amps = rng.normal(size=2**qubits) + 1j * rng.normal(size=2**qubits)
+        state = CoinState(qubits=qubits, amplitudes=amps / np.linalg.norm(amps))
+        for cut in range(1, qubits):
+            measured = entanglement_entropy(state, cut)
+            assert measured == pytest.approx(svd_entropy(state.amplitudes, cut, qubits), abs=1e-12)
+            assert measured == pytest.approx(gram_entropy(state.amplitudes, cut, qubits), abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [1e-3, 1e-6, 1e-9])
+def test_near_product_state_keeps_relative_accuracy(theta):
+    # cos(t)|00> + sin(t)|11>: the smaller Schmidt weight is sin(t)^2, far
+    # below the rounding of the larger one, so it must not come from a
+    # difference of the two
+    c, s = math.cos(theta), math.sin(theta)
+    state = CoinState(qubits=2, amplitudes=[c, 0, 0, s])
+    c2, s2 = c * c, s * s
+    analytic = -(c2 * math.log2(c2) + s2 * math.log2(s2))
+    assert entanglement_entropy(state, 1) == pytest.approx(analytic, rel=1e-12)
 
 
 def test_theta1_entropy_matches_gram_oracle():
