@@ -9,9 +9,10 @@ correlated-pair parameters).  Numbered sections ``[experiment.1]``,
 ``[classical.1]``, ... (no leading zeros) define batch sub-configs layered
 over the base sections; each sub-config writes its own output file with the
 index inserted before the extension.  Every job is checked before the first
-runs, so a failing config writes no file (an I/O error on a later job's
-output can still leave earlier ones).  ``seed`` is only echoed into json
-metadata; nothing draws a random number from it.
+runs, and output files are renamed into place only after the last job
+succeeds, so a failing config, or a failing write, leaves no file.
+``seed`` is only echoed into json metadata; nothing draws a random number
+from it.
 
 Exit codes: 0 success, 2 config parse error, 3 validation error (also out of
 memory or an arithmetic error), 4 I/O error.
@@ -39,6 +40,8 @@ import argparse
 import configparser
 import gc
 import io
+import os
+import stat
 import sys
 from dataclasses import dataclass, field
 from itertools import islice
@@ -426,8 +429,15 @@ def _parse_fields(name: str, section: dict) -> dict:
 def _build_classical_params(section: dict) -> ClassicalParams:
     _check_keys("classical", section)
     kwargs = _parse_fields("classical", section)
-    if "rho" in section and "model" not in section:
+    # rho and moves belong to the correlated model: either one implies it,
+    # and neither may sit beside an explicit binomial model
+    correlated_keys = [key for key in ("rho", "moves") if key in section]
+    if "model" not in section and correlated_keys:
         kwargs["model"] = "correlated"
+    elif kwargs.get("model") == "binomial" and correlated_keys:
+        raise ValidationError(
+            f"classical.{correlated_keys[0]} applies only to model = 'correlated', got model = 'binomial'"
+        )
     return ClassicalParams(**kwargs)
 
 
@@ -586,24 +596,49 @@ def _assemble_jobs(parser: configparser.ConfigParser):
     return jobs
 
 
+def _stage(path: str | None, staged: dict) -> str | None:
+    # The file a job writes for ``path``: a temporary file beside a regular
+    # output file (a symlink's target), recorded in ``staged`` as
+    # {temporary: (file it replaces, path as configured)}; ``path`` itself for
+    # anything else, such as /dev/null or a pipe.
+    if path is None:
+        return None
+    target = os.path.realpath(path)
+    try:
+        if not stat.S_ISREG(os.stat(target).st_mode):
+            return path
+    except OSError:  # nothing there yet
+        pass
+    temp = f"{target}.{os.getpid()}.tmp"
+    staged[temp] = (target, path)
+    return temp
+
+
 def run(config_path: str, overrides=(), quiet: bool = False) -> int:
     """Execute the experiment(s) described by a config file.
 
     Returns the process exit code instead of raising: 0 on success, 2 on a
     parse error, 3 on a validation error, a MemoryError or an
     ArithmeticError, 4 on an I/O error.  Diagnostics go to stderr as one
-    line each; per-run summaries also go to stderr unless ``quiet``.
+    line each; per-run summaries also go to stderr unless ``quiet``, once
+    every job has run.  Each output file is written to a temporary file in
+    its directory, and the temporaries are renamed into place only after
+    the last job succeeds; on any failure they are removed.
     """
+    staged: dict[str, tuple[str, str]] = {}
     try:
         parser = _read_sections(config_path)
         _apply_overrides(parser, overrides)
-        jobs = _assemble_jobs(parser)
-        for cfg, echo, tag in jobs:
+        summaries = []
+        for cfg, echo, tag in _assemble_jobs(parser):
             path = _suffixed_path(cfg.output_path, tag)
-            summary = _MODE_RUNNERS[cfg.mode](cfg, echo, path)
-            if not quiet:
-                where = path if path is not None else "stdout"
-                print(f"{summary} -> {where}", file=sys.stderr)
+            summary = _MODE_RUNNERS[cfg.mode](cfg, echo, _stage(path, staged))
+            summaries.append(f"{summary} -> {path if path is not None else 'stdout'}")
+        for temp in list(staged):
+            os.replace(temp, staged.pop(temp)[0])
+        if not quiet:
+            for line in summaries:
+                print(line, file=sys.stderr)
     except ParseError as exc:
         print(f"error: config parse: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -615,8 +650,16 @@ def run(config_path: str, overrides=(), quiet: bool = False) -> int:
         print(f"error: {type(exc).__name__}{': ' + detail if detail else ''}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
+        if exc.filename in staged:  # name the output, not its temporary
+            exc.filename = staged[exc.filename][1]
         print(f"error: i/o: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        for temp in staged:
+            try:
+                os.remove(temp)
+            except OSError:
+                pass
     return EXIT_OK
 
 

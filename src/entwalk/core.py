@@ -68,25 +68,59 @@ def basis_index(label: str) -> int:
 
 
 def _as_complex_matrix(entries) -> np.ndarray:
-    m = np.array(entries, dtype=complex)
+    m = np.array(entries, dtype=complex, order="C")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m.view(float)).all():
+    if len(m) <= 2**MAX_QUBITS:
+        finite = all(map(math.isfinite, m.view(np.float64).ravel().tolist()))
+    else:
+        finite = np.isfinite(m.view(np.float64)).all()
+    if not finite:
         raise ValueError("matrix entries must be finite")
     return m
 
 
+def _fsum(terms) -> float:
+    """``math.fsum``, but inf, not OverflowError, for finite terms whose sum exceeds float64."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
 def _unitarity_defect(m: np.ndarray) -> float:
-    # Up to coin size, M M^dag by einsum's own loops, not BLAS, like the
-    # CoinState norm: the verdict does not depend on the BLAS build or its
-    # thread count, and a quantum walk never touches BLAS.  A larger matrix,
-    # which only check_unitary takes, goes to BLAS: einsum is ~9x slower at
-    # 256 x 256.
-    if len(m) <= 2**MAX_QUBITS:
-        gram = np.einsum("ik,jk->ij", m, m.conj())
+    # Up to coin size, over Python floats: each entry of M M^dag - I is
+    # rounded once from its exact value by math.fsum, so the verdict does not
+    # depend on a summation order, and a walk request calls no einsum and no
+    # complex ufunc before its walk.  M M^dag is Hermitian, so its upper
+    # triangle holds every |entry|; a real M has a real M M^dag.  A larger
+    # matrix, which only check_unitary takes, goes to BLAS.
+    if len(m) > 2**MAX_QUBITS:
+        return float(np.max(np.abs(m @ m.conj().T - np.eye(len(m)))))
+    if any(m.imag.ravel().tolist()):
+        rows = m.view(np.float64).tolist()  # row i: re, im, re, im, ...
+        # row j times i: its float dot product with row i is Im (M M^dag)_ij
+        turned = []
+        for row in rows:
+            t = row.copy()
+            t[::2] = [-x for x in row[1::2]]
+            t[1::2] = row[::2]
+            turned.append(t)
     else:
-        gram = m @ m.conj().T
-    return float(np.max(np.abs(gram - np.eye(m.shape[0]))))
+        rows = m.real.tolist()
+        turned = None
+    mul, fsum = operator.mul, math.fsum
+    try:
+        defects = [abs(fsum([*map(mul, row, row), -1.0])) for row in rows]
+        for i, row in enumerate(rows):
+            for j in range(i + 1, len(rows)):
+                im = fsum(map(mul, row, turned[j])) if turned else 0.0
+                defects.append(math.hypot(fsum(map(mul, row, rows[j])), im))
+    except (OverflowError, ValueError):
+        # a product or a sum past float64 (ValueError: inf - inf); by
+        # Cauchy-Schwarz some diagonal entry is then past float64 too
+        return math.inf
+    return max(defects)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -127,9 +161,10 @@ class CoinState:
             raise ValueError(
                 f"expected {2**self.qubits} amplitudes for {self.qubits} qubit(s), got {amps.shape[0]}"
             )
-        if not np.isfinite(amps.view(float)).all():
+        parts = amps.view(np.float64).tolist()
+        if not all(map(math.isfinite, parts)):
             raise ValueError("amplitudes must be finite")
-        norm_sq = float(np.add.reduce(np.square(amps.view(np.float64))))
+        norm_sq = _fsum(map(operator.mul, parts, parts))
         if abs(norm_sq - 1.0) > UNITARITY_TOL:
             raise ValueError(f"amplitudes are not normalized: |psi|^2 = {norm_sq!r}")
         amps.flags.writeable = False
@@ -169,7 +204,7 @@ class CoinOperator:
     def _real_matrix(self) -> np.ndarray | None:
         # The matrix's real part when no entry has a nonzero imaginary
         # part, else None; looked up once per walk step.
-        return None if self.matrix.imag.any() else self.matrix.real
+        return None if any(self.matrix.imag.ravel().tolist()) else self.matrix.real
 
 
 def tensor_product(a: CoinOperator, b: CoinOperator) -> CoinOperator:
@@ -314,10 +349,7 @@ def state_norm(state: WalkState) -> float:
         np.add.reduce(np.square(plane.astype(complex, copy=False).ravel().view(np.float64)))
         for plane in planes
     ]
-    try:
-        return math.fsum(sums)
-    except OverflowError:  # finite plane sums whose total exceeds float64
-        return math.inf
+    return _fsum(sums)
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,7 @@ def initial_state(cfg: WalkConfig) -> WalkState:
     is real; otherwise it is ``complex128``.
     """
     amplitudes = cfg.coin_state.amplitudes
-    if cfg.coin_op._real_matrix is not None and not amplitudes.imag.any():
+    if cfg.coin_op._real_matrix is not None and not any(amplitudes.imag.tolist()):
         amplitudes = amplitudes.real
     window = amplitudes.reshape((-1,) + (1,) * cfg.shift.dims).copy()
     return WalkState(

@@ -51,6 +51,17 @@ def write_config(tmp_path, text, name="exp.ini"):
     return str(path)
 
 
+def run_process(*args, **env):
+    # the CLI in a fresh interpreter, with this checkout's package first on the path
+    src = str(Path(entwalk.__file__).parent.parent)
+    env = os.environ | env | {
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 def bell_distribution(steps):
     coin = build_initial_coin("phi_plus")
     cfg = WalkConfig(
@@ -188,16 +199,10 @@ def test_json_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         "[experiment]\nmode = quantum\ncoin = ghz3\nshift = s_2d\nsteps = 50\n"
         f"output_format = json\noutput = {out}\n",
     )
-    src = str(Path(entwalk.__file__).parent.parent)
     outputs = []
     for threads in ("1", "2"):
-        env = os.environ | {
-            "OPENBLAS_NUM_THREADS": threads,
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-        }
-        subprocess.run(
-            [sys.executable, "-m", "entwalk.cli", "run", cfg, "--quiet"], env=env, check=True, timeout=120
-        )
+        result = run_process("-m", "entwalk.cli", "run", cfg, "--quiet", OPENBLAS_NUM_THREADS=threads)
+        assert result.returncode == EXIT_OK
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
 
@@ -251,6 +256,38 @@ def test_classical_correlated_mode(tmp_path):
     expected = binomial_walk_distribution(60, 0.5)
     for k in expected.support():
         assert got[k] == pytest.approx(expected[k], abs=1e-12)
+
+
+def test_classical_moves_without_model_imply_the_correlated_model(tmp_path):
+    # as rho does: the moves are used, not dropped for the binomial walk
+    outputs = []
+    for model in ("", "model = correlated\n"):
+        out = tmp_path / f"cls{len(outputs)}.csv"
+        cfg = write_config(
+            tmp_path,
+            f"[experiment]\nmode = classical\noutput = {out}\n"
+            f"[classical]\n{model}n = 2\nmoves = hh:5 ht:0 th:0 tt:-5\n",
+        )
+        assert run(cfg, quiet=True) == EXIT_OK
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1] == "position,probability\n-10,0.25\n0,0.5\n10,0.25\n"
+
+
+@pytest.mark.parametrize("mode", ["quantum", "classical", "compare", "entropy"])
+@pytest.mark.parametrize("key", ["rho = 0.5", "moves = hh:5 ht:0 th:0 tt:-5"], ids=["rho", "moves"])
+def test_correlated_keys_beside_a_binomial_model_are_refused(tmp_path, capsys, mode, key):
+    out = tmp_path / "out.csv"
+    cfg = write_config(
+        tmp_path,
+        f"[experiment]\nmode = {mode}\noutput = {out}\n[classical]\nmodel = binomial\nn = 2\n{key}\n",
+    )
+    assert run(cfg, quiet=True) == EXIT_VALIDATION
+    name = key.partition(" ")[0]
+    assert capsys.readouterr().err == (
+        f"error: validation: classical.{name} applies only to model = 'correlated', "
+        "got model = 'binomial'\n"
+    )
+    assert not out.exists()
 
 
 def test_classical_binomial_past_float_overflow_of_binomial_coefficients(tmp_path):
@@ -699,6 +736,25 @@ def test_exit_code_validation_errors(tmp_path, capsys, text):
     assert capsys.readouterr().err == f"error: validation: {VALIDATION_ERRORS[text]}\n"
 
 
+@pytest.mark.parametrize(
+    "coin, message",
+    [
+        ("coin = custom\ncoin_amplitudes = (1e308, 0) (1e308, 0)\n",
+         "amplitudes are not normalized: |psi|^2 = inf"),
+        ("coin = single_hadamard_bias\ncoin_operator = custom\n"
+         "coin_matrix = (1e200, 0) (1e200, 0); (1e200, 0) (-1e200, 0)\n",
+         "matrix is not unitary: max |U U^dag - I| = inf"),
+    ],
+    ids=["amplitudes", "matrix"],
+)
+def test_a_coin_past_float64_is_one_stderr_line(tmp_path, coin, message):
+    # in a fresh process, where a numpy RuntimeWarning would reach stderr
+    cfg = write_config(tmp_path, "[experiment]\nmode = quantum\nshift = s_single\nsteps = 3\n" + coin)
+    result = run_process("-m", "entwalk.cli", "run", cfg, "--quiet")
+    assert result.returncode == EXIT_VALIDATION
+    assert result.stderr == f"error: validation: {message}\n"
+
+
 def test_compare_refuses_a_2d_walk_before_walking(tmp_path, capsys, monkeypatch):
     def no_evolve(cfg):
         raise AssertionError("compare mode evolved a 2D walk")
@@ -776,6 +832,41 @@ def test_batch_fault_in_a_later_job_writes_no_file(tmp_path, capsys, fault):
     assert list(tmp_path.glob("out*")) == []
 
 
+def test_batch_write_failure_in_a_later_job_leaves_no_file(tmp_path, capsys):
+    # job 1's output is renamed into place only after every job has run
+    out = tmp_path / "out.csv"
+    missing = tmp_path / "missing" / "out.csv"
+    cfg = write_config(
+        tmp_path,
+        QUANTUM_BASE.format(steps=2, fmt="csv", out=out)
+        + f"\n[experiment.1]\nsteps = 1\n\n[experiment.2]\noutput = {missing}\n",
+    )
+    assert run(cfg) == EXIT_IO
+    missing_2 = tmp_path / "missing" / "out.2.csv"
+    assert capsys.readouterr().err == (
+        f"error: i/o: [Errno 2] No such file or directory: '{missing_2}'\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+
+def test_output_to_a_device_is_written_in_place(tmp_path):
+    cfg = write_config(tmp_path, QUANTUM_BASE.format(steps=2, fmt="csv", out=os.devnull))
+    assert run(cfg, quiet=True) == EXIT_OK
+    assert Path(os.devnull).is_char_device()
+
+
+def test_output_through_a_symlink_replaces_its_target(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    cfg = write_config(tmp_path, QUANTUM_BASE.format(steps=1, fmt="csv", out=link))
+    assert run(cfg, quiet=True) == EXIT_OK
+    assert link.is_symlink()
+    assert target.read_text() == "position,probability\n-1,0.5\n1,0.5\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "link.csv", "target.csv"]
+
+
 def test_batch_reports_the_first_jobs_walk_fault_before_a_later_parse_fault(tmp_path, capsys):
     # every job is built in index order, walk included, so job 1's unknown
     # coin is found before job 2's unparsable steps
@@ -835,12 +926,8 @@ def test_console_main_freezes_the_loaded_heap_and_imports_json_only_for_json(tmp
         "assert console_main(sys.argv[1:]) == 0\n"
         "print(gc.get_freeze_count(), 'json' in sys.modules)\n"
     )
-    src = str(Path(entwalk.__file__).parent.parent)
-    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run(
-        [sys.executable, "-c", probe, "run", cfg, "--quiet"],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
-    )
+    result = run_process("-c", probe, "run", cfg, "--quiet")
+    assert result.returncode == 0, result.stderr
     frozen, json_loaded = result.stdout.split()
     assert int(frozen) > 0
     assert json_loaded == str(fmt == "json")

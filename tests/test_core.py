@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entwalk.coins import COIN_PRESETS, build_coin_operator, build_initial_coin
 from entwalk.core import (
+    UNITARITY_TOL,
     CoinOperator,
     CoinState,
     Distribution,
@@ -111,6 +113,83 @@ def test_coin_operator_validates_unitarity():
         CoinOperator(np.eye(16))
     with pytest.raises(ValueError, match="dimension"):
         CoinOperator(np.eye(3))
+
+
+def test_check_unitary_takes_any_memory_layout():
+    assert check_unitary(np.asfortranarray(np.kron(Y, Y)))
+    assert check_unitary(np.kron(Y, Y).T)
+    assert not check_unitary(np.asfortranarray(np.full((4, 4), 0.5)))
+
+
+def test_coin_checks_call_no_einsum_or_isfinite(monkeypatch):
+    # Coin-sized states and operators are checked over Python floats, so a
+    # walk request maps no einsum or complex-ufunc code before its walk.
+    rng = np.random.default_rng(3)
+    unitaries = [haar_unitary(n, rng) for n in (2, 4, 8)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a coin check called numpy")
+
+    for name in ("einsum", "isfinite", "square", "abs", "absolute", "max", "amax"):
+        monkeypatch.setattr(np, name, refuse)
+    for preset in COIN_PRESETS:
+        build_initial_coin(preset)
+    for kind in ("hadamard_n", "y_n"):
+        for qubits in (1, 2, 3):
+            op = build_coin_operator(kind, qubits)
+            assert check_unitary(op.matrix)
+            assert (op._real_matrix is None) == (kind == "y_n")
+    for u in unitaries:
+        assert check_unitary(u)
+        assert not check_unitary(u * (1.0 + 1e-9))
+        CoinOperator(u)
+    assert not check_unitary(np.full((8, 8), 0.5))
+    with pytest.raises(ValueError, match="finite"):
+        CoinOperator([[1.0, 0.0], [0.0, np.inf]])
+    with pytest.raises(ValueError, match="finite"):
+        CoinState(qubits=1, amplitudes=[np.nan, 0.0])
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_coin_check_verdicts_match_a_numpy_check(dim):
+    # Seeded near-unitary matrices and near-normalized states on both sides
+    # of the tolerance, real and complex; values within 1e-15 of it are
+    # exempt, since both checks round.
+    rng = np.random.default_rng(dim)
+    verdicts = {"operator": [], "state": []}
+    for trial in range(300):
+        real = trial % 2 == 0
+        if real:
+            u = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+            noise = rng.normal(size=(dim, dim))
+        else:
+            u = haar_unitary(dim, rng)
+            noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        u = u + 10.0 ** rng.uniform(-14.5, -11) * noise
+        reference = np.max(np.abs(u @ u.conj().T - np.eye(dim)))
+        if abs(reference - UNITARITY_TOL) > 1e-15:
+            accepted = bool(reference <= UNITARITY_TOL)
+            assert check_unitary(u) is accepted
+            if accepted:
+                CoinOperator(u)
+            else:
+                with pytest.raises(ValueError, match="not unitary"):
+                    CoinOperator(u)
+            verdicts["operator"].append(accepted)
+
+        v = rng.normal(size=dim) + (0.0 if real else 1j * rng.normal(size=dim))
+        v = v / np.linalg.norm(v) * math.sqrt(1.0 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-13, -11))
+        reference = abs(np.vdot(v, v).real - 1.0)
+        if abs(reference - UNITARITY_TOL) > 1e-15:
+            accepted = bool(reference <= UNITARITY_TOL)
+            if accepted:
+                CoinState(qubits=dim.bit_length() - 1, amplitudes=v)
+            else:
+                with pytest.raises(ValueError, match="not normalized"):
+                    CoinState(qubits=dim.bit_length() - 1, amplitudes=v)
+            verdicts["state"].append(accepted)
+    for kind, seen in verdicts.items():
+        assert 50 < sum(seen) < len(seen) - 50, kind  # both verdicts, many times
 
 
 def test_tensor_product_hadamard_sign_pattern():
