@@ -597,20 +597,36 @@ def _assemble_jobs(parser: configparser.ConfigParser):
 
 
 def _stage(path: str | None, staged: dict) -> str | None:
-    # The file a job writes for ``path``: a temporary file beside a regular
-    # output file (a symlink's target), recorded in ``staged`` as
-    # {temporary: (file it replaces, path as configured)}; ``path`` itself for
-    # anything else, such as /dev/null or a pipe.
+    # The file a job writes for ``path``.  A regular output file (a symlink's
+    # target) gets a new temporary file beside it, with the mode of the file
+    # it will replace, recorded in ``staged`` as {temporary: (file it
+    # replaces, path as configured)}.  Anything else, such as /dev/null or a
+    # pipe, and any file in a directory we may not write to, is written in
+    # place: ``path`` itself.
     if path is None:
         return None
     target = os.path.realpath(path)
     try:
-        if not stat.S_ISREG(os.stat(target).st_mode):
-            return path
+        st = os.stat(target)
     except OSError:  # nothing there yet
-        pass
-    temp = f"{target}.{os.getpid()}.tmp"
+        st = None
+    if st is not None:
+        if not stat.S_ISREG(st.st_mode):
+            return path
+        os.close(os.open(path, os.O_WRONLY))  # the PermissionError open(path, "w") would raise
+    temp = f"{target}.{os.urandom(6).hex()}.tmp"
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except PermissionError:
+        return path
+    except OSError as exc:  # name the output, not its temporary
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     staged[temp] = (target, path)
+    try:
+        if st is not None:
+            os.fchmod(fd, stat.S_IMODE(st.st_mode))
+    finally:
+        os.close(fd)
     return temp
 
 
@@ -623,7 +639,9 @@ def run(config_path: str, overrides=(), quiet: bool = False) -> int:
     line each; per-run summaries also go to stderr unless ``quiet``, once
     every job has run.  Each output file is written to a temporary file in
     its directory, and the temporaries are renamed into place only after
-    the last job succeeds; on any failure they are removed.
+    the last job succeeds; on any failure they are removed.  An output that
+    is not a regular file, or whose directory may not be written, is
+    written in place.
     """
     staged: dict[str, tuple[str, str]] = {}
     try:

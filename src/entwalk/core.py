@@ -71,11 +71,7 @@ def _as_complex_matrix(entries) -> np.ndarray:
     m = np.array(entries, dtype=complex, order="C")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if len(m) <= 2**MAX_QUBITS:
-        finite = all(map(math.isfinite, m.view(np.float64).ravel().tolist()))
-    else:
-        finite = np.isfinite(m.view(np.float64)).all()
-    if not finite:
+    if not all(map(math.isfinite, m.view(np.float64).ravel().tolist())):
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -89,14 +85,11 @@ def _fsum(terms) -> float:
 
 
 def _unitarity_defect(m: np.ndarray) -> float:
-    # Up to coin size, over Python floats: each entry of M M^dag - I is
+    # max |M M^dag - I| of a coin-sized M, over Python floats: each entry is
     # rounded once from its exact value by math.fsum, so the verdict does not
     # depend on a summation order, and a walk request calls no einsum and no
     # complex ufunc before its walk.  M M^dag is Hermitian, so its upper
-    # triangle holds every |entry|; a real M has a real M M^dag.  A larger
-    # matrix, which only check_unitary takes, goes to BLAS.
-    if len(m) > 2**MAX_QUBITS:
-        return float(np.max(np.abs(m @ m.conj().T - np.eye(len(m)))))
+    # triangle holds every |entry|; a real M has a real M M^dag.
     if any(m.imag.ravel().tolist()):
         rows = m.view(np.float64).tolist()  # row i: re, im, re, im, ...
         # row j times i: its float dot product with row i is Im (M M^dag)_ij
@@ -134,7 +127,10 @@ def check_unitary(matrix, tol: float = UNITARITY_TOL) -> bool:
     Accepts any square array-like, such as a user-supplied matrix;
     :class:`CoinOperator` applies the same test at construction.
     """
-    return _unitarity_defect(_as_complex_matrix(matrix)) <= tol
+    m = _as_complex_matrix(matrix)
+    if len(m) > 2**MAX_QUBITS:  # larger than any coin: BLAS
+        return float(np.max(np.abs(m @ m.conj().T - np.eye(len(m))))) <= tol
+    return _unitarity_defect(m) <= tol
 
 
 @dataclass(frozen=True)

@@ -867,6 +867,75 @@ def test_output_through_a_symlink_replaces_its_target(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "link.csv", "target.csv"]
 
 
+def _permission_bits_bind(tmp_path):
+    # False for a user, such as root, whom a file's mode does not stop
+    probe = tmp_path / "probe"
+    probe.write_text("")
+    probe.chmod(0o444)
+    try:
+        os.close(os.open(probe, os.O_WRONLY))
+    except PermissionError:
+        return True
+    finally:
+        probe.unlink()
+    return False
+
+
+def test_batch_with_a_read_only_output_fails_and_keeps_it(tmp_path, capsys):
+    if not _permission_bits_bind(tmp_path):
+        pytest.skip("file modes do not bind this user")
+    out_2 = tmp_path / "out.2.csv"
+    out_2.write_text("old\n")
+    out_2.chmod(0o444)
+    cfg = write_config(
+        tmp_path,
+        QUANTUM_BASE.format(steps=2, fmt="csv", out=tmp_path / "out.csv")
+        + "\n[experiment.1]\nsteps = 1\n\n[experiment.2]\n",
+    )
+    assert run(cfg) == EXIT_IO
+    assert capsys.readouterr().err == f"error: i/o: [Errno 13] Permission denied: '{out_2}'\n"
+    assert out_2.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "out.2.csv"]
+
+
+def test_output_in_a_read_only_directory_is_written_in_place(tmp_path):
+    if not _permission_bits_bind(tmp_path):
+        pytest.skip("file modes do not bind this user")
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    out = locked / "walk.csv"
+    out.write_text("old\n")
+    cfg = write_config(tmp_path, QUANTUM_BASE.format(steps=1, fmt="csv", out=out))
+    locked.chmod(0o555)
+    try:
+        assert run(cfg, quiet=True) == EXIT_OK
+        assert out.read_text() == "position,probability\n-1,0.5\n1,0.5\n"
+        assert [p.name for p in locked.iterdir()] == ["walk.csv"]
+    finally:
+        locked.chmod(0o755)
+
+
+def test_replaced_output_keeps_its_mode(tmp_path):
+    out = tmp_path / "walk.csv"
+    out.write_text("old\n")
+    out.chmod(0o640)
+    cfg = write_config(tmp_path, QUANTUM_BASE.format(steps=1, fmt="csv", out=out))
+    assert run(cfg, quiet=True) == EXIT_OK
+    assert out.read_text() == "position,probability\n-1,0.5\n1,0.5\n"
+    assert out.stat().st_mode & 0o7777 == 0o640
+
+
+def test_new_output_gets_the_umask_mode(tmp_path):
+    out = tmp_path / "walk.csv"
+    cfg = write_config(tmp_path, QUANTUM_BASE.format(steps=1, fmt="csv", out=out))
+    umask = os.umask(0o027)
+    try:
+        assert run(cfg, quiet=True) == EXIT_OK
+    finally:
+        os.umask(umask)
+    assert out.stat().st_mode & 0o7777 == 0o640
+
+
 def test_batch_reports_the_first_jobs_walk_fault_before_a_later_parse_fault(tmp_path, capsys):
     # every job is built in index order, walk included, so job 1's unknown
     # coin is found before job 2's unparsable steps
