@@ -40,6 +40,7 @@ import argparse
 import configparser
 import gc
 import io
+import math
 import os
 import stat
 import sys
@@ -426,18 +427,24 @@ def _parse_fields(name: str, section: dict) -> dict:
     }
 
 
+# The classical keys that belong to one model.  A correlated key implies
+# its model when the section names none, and no key may sit beside another
+# model, given or implied; ClassicalParams refuses an unknown model.
+_MODEL_KEYS = {"p": "binomial", "rho": "correlated", "moves": "correlated"}
+
+
 def _build_classical_params(section: dict) -> ClassicalParams:
     _check_keys("classical", section)
     kwargs = _parse_fields("classical", section)
-    # rho and moves belong to the correlated model: either one implies it,
-    # and neither may sit beside an explicit binomial model
-    correlated_keys = [key for key in ("rho", "moves") if key in section]
-    if "model" not in section and correlated_keys:
+    keys = [key for key in _MODEL_KEYS if key in section]
+    if "model" not in section and any(_MODEL_KEYS[key] == "correlated" for key in keys):
         kwargs["model"] = "correlated"
-    elif kwargs.get("model") == "binomial" and correlated_keys:
-        raise ValidationError(
-            f"classical.{correlated_keys[0]} applies only to model = 'correlated', got model = 'binomial'"
-        )
+    model = kwargs.get("model", ClassicalParams.model)
+    for key in keys:
+        if _MODEL_KEYS[key] != model and model in _MODEL_KEYS.values():
+            raise ValidationError(
+                f"classical.{key} applies only to model = {_MODEL_KEYS[key]!r}, got model = {model!r}"
+            )
     return ClassicalParams(**kwargs)
 
 
@@ -485,7 +492,7 @@ def _run_classical(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
     dist = _classical_distribution(cfg.classical)
     meta = _base_metadata(cfg) | {
         "steps": cfg.classical.n,
-        "norm": float(sum(p for _, p in dist.items_sorted())),
+        "norm": math.fsum(dist.probs.values()),
         "model": cfg.classical.model,
     }
     emit_distribution(dist, cfg.output_format, path, echo, meta)

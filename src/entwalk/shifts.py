@@ -91,14 +91,6 @@ class DisplacementTable:
         span = tuple(max(axis) - low for axis, low in zip(axes, lo))
         return _Layout(lo, span, tuple(tuple(map(operator.sub, row, lo)) for row in self.table))
 
-    def negated(self) -> "DisplacementTable":
-        """Table of the inverse shift (every displacement sign-flipped)."""
-        return DisplacementTable(
-            dims=self.dims,
-            qubits=self.qubits,
-            table=tuple(tuple(-x for x in row) for row in self.table),
-        )
-
 
 def build_shift(preset: str, custom_table=None) -> DisplacementTable:
     """Construct a conditional shift by preset name.

@@ -290,6 +290,40 @@ def test_correlated_keys_beside_a_binomial_model_are_refused(tmp_path, capsys, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["quantum", "classical", "compare", "entropy"])
+@pytest.mark.parametrize("model", ["model = correlated", "rho = 0.5"], ids=["explicit", "implied"])
+def test_p_beside_a_correlated_model_is_refused(tmp_path, capsys, mode, model):
+    # p is the binomial model's bias; beside the correlated model it would be dropped
+    out = tmp_path / "out.csv"
+    cfg = write_config(
+        tmp_path,
+        f"[experiment]\nmode = {mode}\noutput = {out}\n[classical]\n{model}\nn = 1\np = 0.7\n",
+    )
+    assert run(cfg, quiet=True) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: validation: classical.p applies only to model = 'binomial', got model = 'correlated'\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "classical",
+    ["model = binomial\nn = 100", "model = correlated\nn = 1000\nrho = 0.5"],
+    ids=["binomial", "correlated"],
+)
+def test_classical_json_norm_is_the_exact_sum_of_its_rows(tmp_path, classical):
+    # math.fsum rounds once, so the norm does not depend on the Python
+    # version's float sum
+    out = tmp_path / "cls.json"
+    cfg = write_config(
+        tmp_path,
+        f"[experiment]\nmode = classical\noutput_format = json\noutput = {out}\n[classical]\n{classical}\n",
+    )
+    assert run(cfg, quiet=True) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["metadata"]["norm"] == math.fsum(p for _, p in doc["distribution"])
+
+
 def test_classical_binomial_past_float_overflow_of_binomial_coefficients(tmp_path):
     out = tmp_path / "cls.csv"
     cfg = write_config(

@@ -11,6 +11,7 @@ from entwalk.core import (
     CoinOperator,
     CoinState,
     Distribution,
+    SiteAmplitudes,
     WalkState,
     basis_index,
     basis_label,
@@ -19,6 +20,7 @@ from entwalk.core import (
     tensor_product,
 )
 from oracles import haar_unitary
+from states import site_state
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
 HADAMARD = np.array([[SQRT1_2, SQRT1_2], [SQRT1_2, -SQRT1_2]])
@@ -122,10 +124,11 @@ def test_check_unitary_takes_any_memory_layout():
 
 
 def test_coin_checks_call_no_einsum_or_isfinite(monkeypatch):
-    # Coin-sized states and operators are checked over Python floats, so a
-    # walk request maps no einsum or complex-ufunc code before its walk.
+    # States and operators are checked over Python floats, so a walk
+    # request maps no einsum or complex-ufunc code before its walk.
     rng = np.random.default_rng(3)
     unitaries = [haar_unitary(n, rng) for n in (2, 4, 8)]
+    u16 = haar_unitary(16, rng)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a coin check called numpy")
@@ -144,6 +147,9 @@ def test_coin_checks_call_no_einsum_or_isfinite(monkeypatch):
         assert not check_unitary(u * (1.0 + 1e-9))
         CoinOperator(u)
     assert not check_unitary(np.full((8, 8), 0.5))
+    # past coin size: the same plain-Python test
+    assert check_unitary(u16)
+    assert not check_unitary(u16 * (1.0 + 1e-9))
     with pytest.raises(ValueError, match="finite"):
         CoinOperator([[1.0, 0.0], [0.0, np.inf]])
     with pytest.raises(ValueError, match="finite"):
@@ -245,24 +251,15 @@ def test_tensor_product_of_unitaries_is_unitary(seed):
 
 
 def test_walk_state_stores_sparse_positions():
-    s = WalkState(
-        dims=1,
-        qubits=2,
-        amplitudes={(0,): [SQRT1_2, 0, 0, SQRT1_2]},
-    )
-    assert s.amplitude(0, 0) == pytest.approx(SQRT1_2)
-    assert s.amplitude(0, 3) == pytest.approx(SQRT1_2)
-    assert s.amplitude(5, 0) == 0
-    assert s.positions() == [(0,)]
+    s = site_state(1, 2, {(0,): [SQRT1_2, 0, 0, SQRT1_2]})
+    assert s.amplitudes[(0,)][0] == pytest.approx(SQRT1_2)
+    assert s.amplitudes[(0,)][3] == pytest.approx(SQRT1_2)
+    assert s.amplitudes.get((5,)) is None
+    assert list(s.amplitudes) == [(0,)]
 
 
 def test_walk_state_lists_only_sites_with_nonzero_amplitude():
-    s = WalkState(
-        dims=1,
-        qubits=2,
-        amplitudes={(4,): [0, 0, 0, 0], (0,): [0, 1, 0, 0], (-2,): [0, 0, 0, 1j]},
-    )
-    assert s.positions() == [(-2,), (0,)]
+    s = site_state(1, 2, {(4,): [0, 0, 0, 0], (0,): [0, 1, 0, 0], (-2,): [0, 0, 0, 1j]})
     assert list(s.amplitudes) == [(-2,), (0,)]
     assert len(s.amplitudes) == 2
     assert (4,) not in s.amplitudes
@@ -271,42 +268,45 @@ def test_walk_state_lists_only_sites_with_nonzero_amplitude():
     assert s.amplitudes.get((0, 0)) is None
     assert s.amplitudes.get(0) is None
     assert s.amplitudes.get((0.5,)) is None
-    assert s.amplitude(4, 0) == 0
     assert [v.tolist() for v in s.amplitudes.values()] == [[0, 0, 0, 1j], [0, 1, 0, 0]]
 
 
 def test_walk_state_2d_positions_are_sorted():
     vec = [1, 0]
-    s = WalkState(dims=2, qubits=1, amplitudes={(1, -1): vec, (0, 2): vec, (0, -1): vec})
-    assert s.positions() == [(0, -1), (0, 2), (1, -1)]
+    s = site_state(2, 1, {(1, -1): vec, (0, 2): vec, (0, -1): vec})
+    assert list(s.amplitudes) == [(0, -1), (0, 2), (1, -1)]
     assert np.array_equal(s.amplitudes[(0, 2)], [1, 0])
 
 
-def test_walk_state_refuses_a_bounding_box_over_the_cap():
-    with pytest.raises(ValueError, match="MAX_WINDOW_AMPLITUDES"):
-        WalkState(dims=1, qubits=1, amplitudes={(0,): [1, 0], (10**9,): [0, 1]})
+def test_walk_state_is_built_from_a_window_only():
+    with pytest.raises(TypeError, match="SiteAmplitudes"):
+        WalkState(dims=1, qubits=2, amplitudes={(0,): [1, 0, 0, 0]})
+    with pytest.raises(TypeError, match="SiteAmplitudes"):
+        WalkState(dims=1, qubits=2, amplitudes=np.zeros((4, 1)))
+    with pytest.raises(TypeError):
+        WalkState(dims=1, qubits=2)
 
 
 def test_walk_state_validates_shapes():
-    with pytest.raises(ValueError):
-        WalkState(dims=1, qubits=2, amplitudes={(0, 0): [1, 0, 0, 0]})
-    with pytest.raises(ValueError):
-        WalkState(dims=1, qubits=2, amplitudes={(0,): [1, 0]})
-    with pytest.raises(ValueError):
-        WalkState(dims=3, qubits=1, amplitudes={})
+    with pytest.raises(ValueError, match="window"):
+        WalkState(dims=1, qubits=2, amplitudes=SiteAmplitudes(np.zeros((4, 1, 1)), (0, 0)))
+    with pytest.raises(ValueError, match="window"):
+        WalkState(dims=1, qubits=2, amplitudes=SiteAmplitudes(np.zeros((2, 1)), (0,)))
+    with pytest.raises(ValueError, match="dimensionality"):
+        WalkState(dims=3, qubits=1, amplitudes=SiteAmplitudes(np.zeros((2, 0, 0, 0)), (0, 0, 0)))
 
 
 def test_state_norm_of_fresh_state_is_one():
-    s = WalkState(dims=1, qubits=2, amplitudes={(0,): [SQRT1_2, 0, 0, SQRT1_2]})
+    s = site_state(1, 2, {(0,): [SQRT1_2, 0, 0, SQRT1_2]})
     assert state_norm(s) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_state_norm_of_empty_state_is_zero():
-    assert state_norm(WalkState(dims=1, qubits=1, amplitudes={})) == 0.0
+    assert state_norm(site_state(1, 1, {})) == 0.0
 
 
 def test_state_norm_past_float64_range_is_inf():
-    assert state_norm(WalkState(dims=1, qubits=1, amplitudes={(0,): [1e154, 1e154]})) == math.inf
+    assert state_norm(site_state(1, 1, {(0,): [1e154, 1e154]})) == math.inf
 
 
 def test_distribution_validates_sum_and_sign():

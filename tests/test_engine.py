@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from entwalk.coins import COIN_PRESETS, build_coin_operator, build_initial_coin
-from entwalk.core import CoinState, WalkState, state_norm
+from entwalk.core import CoinState, SiteAmplitudes, WalkState, state_norm
 from entwalk.engine import (
     _STEP_OVERHEAD,
     WalkConfig,
@@ -52,10 +52,10 @@ def test_combo_enumeration_is_complete():
 
 def test_initial_state_bell_coin():
     s = initial_state(make_config("phi_plus", "hadamard_n", "s_ec", 0))
-    assert s.positions() == [(0,)]
-    assert s.amplitude(0, 0) == pytest.approx(SQRT1_2, abs=1e-15)
-    assert s.amplitude(0, 3) == pytest.approx(SQRT1_2, abs=1e-15)
-    assert s.amplitude(0, 1) == 0
+    assert list(s.amplitudes) == [(0,)]
+    assert s.amplitudes[(0,)][0] == pytest.approx(SQRT1_2, abs=1e-15)
+    assert s.amplitudes[(0,)][3] == pytest.approx(SQRT1_2, abs=1e-15)
+    assert s.amplitudes[(0,)][1] == 0
 
 
 def test_initial_state_single_qubit_basis_coin():
@@ -66,15 +66,15 @@ def test_initial_state_single_qubit_basis_coin():
         steps=0,
     )
     s = initial_state(cfg)
-    assert s.positions() == [(0,)]
-    assert s.amplitude(0, 0) == 1.0 + 0j
+    assert list(s.amplitudes) == [(0,)]
+    assert s.amplitudes[(0,)][0] == 1.0 + 0j
 
 
 def test_initial_state_ghz_2d():
     s = initial_state(make_config("ghz3", "hadamard_n", "s_2d", 0))
-    assert s.positions() == [(0, 0)]
-    assert s.amplitude((0, 0), 0) == pytest.approx(SQRT1_2, abs=1e-15)
-    assert s.amplitude((0, 0), 7) == pytest.approx(SQRT1_2, abs=1e-15)
+    assert list(s.amplitudes) == [(0, 0)]
+    assert s.amplitudes[(0, 0)][0] == pytest.approx(SQRT1_2, abs=1e-15)
+    assert s.amplitudes[(0, 0)][7] == pytest.approx(SQRT1_2, abs=1e-15)
 
 
 def test_initial_position_offset():
@@ -94,8 +94,8 @@ def test_initial_position_offset():
 def test_one_step_splits_bell_state_symmetrically():
     cfg = make_config("phi_plus", "hadamard_n", "s_ec", 0)
     s = step(initial_state(cfg), cfg.coin_op, cfg.shift)
-    assert s.amplitude(1, 0) == pytest.approx(SQRT1_2, abs=1e-15)
-    assert s.amplitude(-1, 3) == pytest.approx(SQRT1_2, abs=1e-15)
+    assert s.amplitudes[(1,)][0] == pytest.approx(SQRT1_2, abs=1e-15)
+    assert s.amplitudes[(-1,)][3] == pytest.approx(SQRT1_2, abs=1e-15)
     d = position_distribution(s)
     assert d[1] == pytest.approx(0.5, abs=1e-12)
     assert d[-1] == pytest.approx(0.5, abs=1e-12)
@@ -104,7 +104,7 @@ def test_one_step_splits_bell_state_symmetrically():
 def test_zero_steps_returns_initial_state():
     cfg = make_config("theta1", "y_n", "s_ec_prime", 0)
     s = evolve(cfg)
-    assert s.positions() == [(0,)]
+    assert list(s.amplitudes) == [(0,)]
     assert np.array_equal(s.amplitudes[(0,)], cfg.coin_state.amplitudes)
 
 
@@ -232,7 +232,7 @@ def test_psi_minus_support_stays_exactly_at_the_origin(op):
     # the coin maps psi_minus to itself up to a phase, so the moving
     # components must cancel to exact zeros at every step, in every site
     state = evolve(make_config("psi_minus", op, "s_ec", 30))
-    assert state.positions() == [(0,)]
+    assert list(state.amplitudes) == [(0,)]
     assert position_distribution(state).support() == [0]
 
 
@@ -247,12 +247,12 @@ def test_kept_states_are_unchanged_by_later_steps():
         snapshot = {pos: vec.copy() for pos, vec in kept.amplitudes.items()}
         for _ in range(6):
             state = step(state, cfg.coin_op, cfg.shift, scratch=scratch)
-        assert kept.positions() == sorted(snapshot)
+        assert list(kept.amplitudes) == sorted(snapshot)
         for pos, vec in snapshot.items():
             assert np.array_equal(kept.amplitudes[pos], vec)
         assert not kept.amplitudes.window.flags.writeable
         with pytest.raises(ValueError):
-            kept.amplitudes[kept.positions()[0]][0] = 0
+            kept.amplitudes[next(iter(kept.amplitudes))][0] = 0
 
 
 @pytest.mark.parametrize(
@@ -272,9 +272,9 @@ def test_walk_state_adopts_another_states_amplitudes():
     s = evolve(make_config("ghz3", "y_n", "s_2d", 5))
     adopted = WalkState(dims=s.dims, qubits=s.qubits, amplitudes=s.amplitudes)
     assert adopted.amplitudes is s.amplitudes
-    rebuilt = WalkState(dims=s.dims, qubits=s.qubits, amplitudes=dict(s.amplitudes))
+    rebuilt = _as_complex(s)
     for t in (adopted, rebuilt):
-        assert t.positions() == s.positions()
+        assert list(t.amplitudes) == list(s.amplitudes)
         assert position_distribution(t).probs == position_distribution(s).probs
         assert state_norm(t) == pytest.approx(state_norm(s), abs=1e-15)
     with pytest.raises(ValueError, match="window"):
@@ -322,8 +322,9 @@ def test_walk_cost_counts_the_windows_the_steps_write(combo):
 
 
 def _as_complex(state: WalkState) -> WalkState:
-    # the same amplitudes, packed from a dict into a complex128 window
-    return WalkState(dims=state.dims, qubits=state.qubits, amplitudes=dict(state.amplitudes))
+    # the same amplitudes, copied into a complex128 window
+    amplitudes = SiteAmplitudes(state.amplitudes.window.astype(complex), state.amplitudes.origin)
+    return WalkState(dims=state.dims, qubits=state.qubits, amplitudes=amplitudes)
 
 
 REAL_COMBOS = [
