@@ -13,8 +13,6 @@ from .classical import (
     binomial_walk_distribution,
     correlated_walk_distribution,
     correlation,
-    sample_endpoints,
-    sample_walk,
 )
 from .coins import (
     COIN_OPERATOR_KINDS,
@@ -23,26 +21,8 @@ from .coins import (
     build_initial_coin,
     entanglement_entropy,
 )
-from .core import (
-    CoinOperator,
-    CoinState,
-    Distribution,
-    WalkState,
-    basis_index,
-    basis_label,
-    check_unitary,
-    state_norm,
-    tensor_product,
-)
-from .engine import (
-    WalkConfig,
-    coin_distribution,
-    evolve,
-    initial_state,
-    position_distribution,
-    sample_positions,
-    step,
-)
+from .core import CoinOperator, CoinState, Distribution, WalkState, check_unitary, state_norm
+from .engine import WalkConfig, evolve, initial_state, position_distribution, step
 from .shifts import SHIFT_PRESETS, DisplacementTable, apply_shift, build_shift
 
 __all__ = [
@@ -58,26 +38,19 @@ __all__ = [
     "WalkConfig",
     "WalkState",
     "apply_shift",
-    "basis_index",
-    "basis_label",
     "binomial_walk_distribution",
     "build_coin_operator",
     "build_initial_coin",
     "build_shift",
     "check_unitary",
-    "coin_distribution",
     "correlated_walk_distribution",
     "correlation",
     "entanglement_entropy",
     "evolve",
     "initial_state",
     "position_distribution",
-    "sample_endpoints",
-    "sample_positions",
-    "sample_walk",
     "state_norm",
     "step",
-    "tensor_product",
 ]
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
 """Classical reference models: the binomial walk on a line, the correlation
-coefficient of a pair of coins, and exact or sampled walks driven by a
-correlated coin pair (the binomial walk is the maximally correlated one).
+coefficient of a pair of coins, and the exact walk driven by a correlated
+coin pair (the binomial walk is the maximally correlated one).
 
 Outcomes of a coin-pair toss are keyed "hh", "ht", "th", "tt" (first symbol
 is coin 1).  The move map assigns an integer displacement to each outcome;
@@ -25,8 +25,6 @@ __all__ = [
     "check_walk_cost",
     "correlated_walk_distribution",
     "correlation",
-    "sample_endpoints",
-    "sample_walk",
 ]
 
 OUTCOMES = ("hh", "ht", "th", "tt")
@@ -180,32 +178,3 @@ def correlated_walk_distribution(
         current, nxt = nxt, current
     support = (current > 0.0).nonzero()[0].tolist()
     return Distribution({n * lo + g * i: float(current[i]) for i in support})
-
-
-def sample_walk(n: int, j: JointCoinDistribution, moves: dict = DEFAULT_MOVES, seed: int = 0) -> int:
-    """One sampled endpoint of the n-step correlated-pair walk.
-
-    The endpoint of one :func:`sample_endpoints` draw, so memory stays
-    constant in ``n``; identical arguments give the identical endpoint.
-    """
-    return int(sample_endpoints(n, j, moves, seed=seed)[0])
-
-
-def sample_endpoints(
-    n: int, j: JointCoinDistribution, moves: dict = DEFAULT_MOVES, count: int = 1, seed: int = 0
-) -> np.ndarray:
-    """``count`` independent sampled endpoints of the n-step walk.
-
-    Each endpoint depends only on how many times each outcome occurred, so
-    the per-sample outcome counts are drawn in one multinomial batch; the
-    result is distributed identically to ``count`` runs of n sequential
-    tosses, at a fraction of the cost.
-    """
-    if n < 0:
-        raise ValueError(f"step count must be nonnegative, got {n}")
-    if count < 0:
-        raise ValueError(f"sample count must be nonnegative, got {count}")
-    step_moves = np.array(_read_moves(moves))
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(n, np.array(j.outcome_probs()), size=count)
-    return counts @ step_moves

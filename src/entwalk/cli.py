@@ -11,8 +11,6 @@ over the base sections; each sub-config writes its own output file with the
 index inserted before the extension.  Every job is checked before the first
 runs, and output files are renamed into place only after the last job
 succeeds, so a failing config, or a failing write, leaves no file.
-``seed`` is only echoed into json metadata; nothing draws a random number
-from it.
 
 Exit codes: 0 success, 2 config parse error, 3 validation error (also out of
 memory or an arithmetic error), 4 I/O error.
@@ -59,7 +57,7 @@ from .coins import build_coin_operator, build_initial_coin, entanglement_entropy
 from .core import CoinState, Distribution, state_norm
 from .engine import WalkConfig, evolve, position_distribution
 from .engine import check_walk_cost as check_quantum_walk_cost
-from .shifts import SHIFT_PRESETS, build_shift
+from .shifts import build_shift
 
 __all__ = [
     "EXIT_IO",
@@ -138,7 +136,6 @@ class ExperimentConfig:
     classical: ClassicalParams = field(default_factory=ClassicalParams)
     output_format: str = "csv"
     output_path: str | None = None
-    seed: int | None = None
     positions: tuple | None = None
     cut: int | None = None
     # Built, and so checked, with the config: quantum/compare's walk, entropy's coin.
@@ -154,6 +151,11 @@ class ExperimentConfig:
             )
         if self.steps < 0:
             raise ValidationError(f"steps must be nonnegative, got {self.steps}")
+        if self.positions is not None:
+            ordered = sorted(self.positions)
+            repeated = sorted({a for a, b in zip(ordered, ordered[1:]) if a == b})
+            if repeated:
+                raise ValidationError(f"positions must be distinct, got {repeated} more than once")
         try:
             if self.mode in ("quantum", "compare"):
                 coin_state = build_initial_coin(self.coin, self.coin_amplitudes)
@@ -168,6 +170,11 @@ class ExperimentConfig:
                 )
                 if self.mode == "compare" and shift.dims != 1:
                     raise ValidationError("compare mode requires a 1D walk")
+                if self.mode == "compare" and walk.initial_position != (0,):
+                    raise ValidationError(
+                        "compare mode starts both walks at the origin, "
+                        f"got initial_position = {walk.initial_position[0]}"
+                    )
                 check_quantum_walk_cost(walk)
                 object.__setattr__(self, "walk", walk)
             elif self.mode == "entropy":
@@ -354,6 +361,8 @@ def _parse_moves(text: str, where: str) -> dict:
         key, _, val = tok.partition(":")
         if key not in OUTCOMES:
             raise ParseError(f"{where}: unknown outcome {key!r}, expected one of {OUTCOMES}")
+        if key in moves:
+            raise ParseError(f"{where}: outcome {key!r} given twice")
         try:
             moves[key] = int(val)
         except ValueError:
@@ -399,7 +408,6 @@ _SECTIONS = {
         "initial_position": ("initial_position", _parse_int_list),
         "output_format": ("output_format", _parse_text),
         "output": ("output_path", _parse_text),
-        "seed": ("seed", _scalar(int)),
         "positions": ("positions", _parse_int_list),
         "cut": ("cut", _scalar(int)),
     },
@@ -469,13 +477,6 @@ def _classical_distribution(params: ClassicalParams) -> Distribution:
     return correlated_walk_distribution(params.n, params.pair, params.moves)
 
 
-def _base_metadata(cfg: ExperimentConfig) -> dict:
-    meta = {"mode": cfg.mode}
-    if cfg.seed is not None:
-        meta["seed"] = cfg.seed
-    return meta
-
-
 def _quantum_walk(cfg: ExperimentConfig) -> tuple[Distribution, float]:
     state = evolve(cfg.walk)
     return position_distribution(state), state_norm(state)
@@ -483,14 +484,15 @@ def _quantum_walk(cfg: ExperimentConfig) -> tuple[Distribution, float]:
 
 def _run_quantum(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
     dist, norm = _quantum_walk(cfg)
-    meta = _base_metadata(cfg) | {"steps": cfg.steps, "norm": norm}
+    meta = {"mode": cfg.mode, "steps": cfg.steps, "norm": norm}
     emit_distribution(dist, cfg.output_format, path, echo, meta)
     return f"quantum walk: {cfg.steps} step(s), norm {norm:.12f}"
 
 
 def _run_classical(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
     dist = _classical_distribution(cfg.classical)
-    meta = _base_metadata(cfg) | {
+    meta = {
+        "mode": cfg.mode,
         "steps": cfg.classical.n,
         "norm": math.fsum(dist.probs.values()),
         "model": cfg.classical.model,
@@ -507,7 +509,8 @@ def _run_compare(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
     else:
         labels = sorted(set(qdist.support()) | set(cdist.support()))
     values = [[qdist[k] for k in labels], [cdist[k] for k in labels]]
-    meta = _base_metadata(cfg) | {
+    meta = {
+        "mode": cfg.mode,
         "steps": cfg.steps,
         "classical_steps": cfg.classical.n,
         "norm": norm,
@@ -523,7 +526,7 @@ def _run_compare(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
 def _run_entropy(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
     cuts = [cfg.cut] if cfg.cut is not None else list(range(1, cfg.coin_state.qubits))
     entropies = [entanglement_entropy(cfg.coin_state, cut) for cut in cuts]
-    meta = _base_metadata(cfg) | {"coin": cfg.coin, "qubits": cfg.coin_state.qubits}
+    meta = {"mode": cfg.mode, "coin": cfg.coin, "qubits": cfg.coin_state.qubits}
     _emit_table(["cut", "entropy_bits"], cuts, [entropies], cfg.output_format, path, echo, meta,
                 "entropies")
     return f"entropy: coin {cfg.coin}, {len(cuts)} cut(s)"

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import MAX_QUBITS, CoinOperator, CoinState, _kron
+from .core import MAX_QUBITS, CoinOperator, CoinState
 
 __all__ = [
     "COIN_OPERATOR_KINDS",
@@ -31,7 +31,7 @@ _SQRT3 = math.sqrt(3.0)
 _HADAMARD = np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=complex)
 _Y = np.array([[_SQRT1_2, 1j * _SQRT1_2], [1j * _SQRT1_2, _SQRT1_2]], dtype=complex)
 
-# Preset name -> amplitude vector in basis-label order (see core.basis_label).
+# Preset name -> amplitude vector in basis-label order (see :mod:`entwalk.core`).
 COIN_PRESETS: dict[str, tuple[complex, ...]] = {
     "phi_plus": (_SQRT1_2, 0, 0, _SQRT1_2),
     "phi_minus": (_SQRT1_2, 0, 0, -_SQRT1_2),
@@ -46,6 +46,11 @@ COIN_PRESETS: dict[str, tuple[complex, ...]] = {
 }
 
 COIN_OPERATOR_KINDS = ("hadamard_n", "y_n", "custom")
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.kron(a, b) without its Python-level set-up: each entry is the same one product.
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
 def build_initial_coin(preset: str, custom_amplitudes=None) -> CoinState:

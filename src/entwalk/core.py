@@ -33,11 +33,8 @@ __all__ = [
     "Distribution",
     "SiteAmplitudes",
     "WalkState",
-    "basis_index",
-    "basis_label",
     "check_unitary",
     "state_norm",
-    "tensor_product",
 ]
 
 MAX_QUBITS = 3
@@ -51,20 +48,6 @@ MAX_WINDOW_AMPLITUDES = 2**23
 UNITARITY_TOL = 1e-12
 
 DISTRIBUTION_SUM_TOL = 1e-10
-
-
-def basis_label(index: int, qubits: int) -> str:
-    """Binary ket label of a coin basis index, e.g. ``basis_label(2, 2) == "10"``."""
-    if not 0 <= index < 2**qubits:
-        raise ValueError(f"basis index {index} out of range for {qubits} qubit(s)")
-    return format(index, f"0{qubits}b")
-
-
-def basis_index(label: str) -> int:
-    """Inverse of :func:`basis_label`: ``basis_index("10") == 2``."""
-    if not label or any(ch not in "01" for ch in label):
-        raise ValueError(f"not a binary ket label: {label!r}")
-    return int(label, 2)
 
 
 def _as_complex_matrix(entries) -> np.ndarray:
@@ -114,11 +97,6 @@ def _unitarity_defect(m: np.ndarray) -> float:
         # Cauchy-Schwarz some diagonal entry is then past float64 too
         return math.inf
     return max(defects)
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # np.kron(a, b) without its Python-level set-up: each entry is the same one product.
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
 def check_unitary(matrix, tol: float = UNITARITY_TOL) -> bool:
@@ -200,21 +178,6 @@ class CoinOperator:
         # The matrix's real part when no entry has a nonzero imaginary
         # part, else None; looked up once per walk step.
         return None if any(self.matrix.imag.ravel().tolist()) else self.matrix.real
-
-
-def tensor_product(a: CoinOperator, b: CoinOperator) -> CoinOperator:
-    """Kronecker product of two coin operators.
-
-    Row/column index of the result is ``(i_a, i_b)`` read row-major, i.e. the
-    factor ``a`` owns the most significant ket symbols, consistent with
-    :func:`basis_label`.  Coins larger than MAX_QUBITS are rejected.
-    """
-    if a.dim * b.dim > 2**MAX_QUBITS:
-        raise ValueError(
-            f"tensor product of dimensions {a.dim} x {b.dim} exceeds the "
-            f"supported coin size 2^{MAX_QUBITS}"
-        )
-    return CoinOperator(_kron(a.matrix, b.matrix))
 
 
 class SiteAmplitudes(Mapping):

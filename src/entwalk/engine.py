@@ -34,11 +34,9 @@ __all__ = [
     "MAX_WALK_WORK",
     "WalkConfig",
     "check_walk_cost",
-    "coin_distribution",
     "evolve",
     "initial_state",
     "position_distribution",
-    "sample_positions",
     "step",
 ]
 
@@ -232,25 +230,3 @@ def position_distribution(state: WalkState) -> Distribution:
     axes = [[i + o for i in hit.tolist()] for hit, o in zip(hits, sites.origin)]
     labels = axes[0] if state.dims == 1 else zip(*axes)
     return Distribution(dict(zip(labels, probs)))
-
-
-def coin_distribution(state: WalkState) -> Distribution:
-    """Marginal over position: P(c) = sum_pos |amplitude(pos, c)|^2."""
-    dim = 2**state.qubits
-    totals = _weights(state).reshape(-1, dim).sum(axis=0).tolist()
-    return Distribution({c: p for c, p in enumerate(totals) if p > 0.0})
-
-
-def sample_positions(dist: Distribution, count: int, seed: int) -> list:
-    """Draw ``count`` position labels from a distribution, reproducibly.
-
-    Same seed, same distribution, same draws.  Provided for Monte-Carlo-style
-    output parity with the classical sampler; evolution itself is exact.
-    """
-    if count < 0:
-        raise ValueError(f"sample count must be nonnegative, got {count}")
-    labels = dist.support()
-    weights = np.array([dist[label] for label in labels])
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(len(labels), size=count, p=weights / weights.sum())
-    return [labels[i] for i in picks]

@@ -1,8 +1,6 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +12,6 @@ from entwalk.classical import (
     binomial_walk_distribution,
     correlated_walk_distribution,
     correlation,
-    sample_endpoints,
-    sample_walk,
 )
 from oracles import enumerated_endpoint_distribution, exact_binomial_walk
 
@@ -235,48 +231,3 @@ def test_correlated_walk_refuses_window_over_cap(n, moves):
 def test_correlated_walk_refuses_runs_over_the_time_cap(n, moves):
     with pytest.raises(ValueError, match="MAX_WINDOW_UPDATES"):
         correlated_walk_distribution(n, FAIR_INDEPENDENT, moves)
-
-
-def test_sample_walk_deterministic_outcome():
-    j = JointCoinDistribution(1.0, 0.0, 0.0, 0.0)
-    assert sample_walk(1, j, DEFAULT_MOVES, seed=9) == DEFAULT_MOVES["hh"]
-    assert sample_walk(7, j, DEFAULT_MOVES, seed=9) == 7 * DEFAULT_MOVES["hh"]
-
-
-def test_sample_walk_zero_steps():
-    assert sample_walk(0, FAIR_INDEPENDENT, seed=5) == 0
-
-
-def test_sample_walk_reproducible():
-    a = sample_walk(100, FAIR_CORRELATED, seed=77)
-    b = sample_walk(100, FAIR_CORRELATED, seed=77)
-    assert a == b
-
-
-def test_sample_walk_memory_does_not_grow_with_n():
-    tracemalloc.start()
-    try:
-        sample_walk(10**7, FAIR_INDEPENDENT, seed=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-
-
-def test_sample_endpoints_match_exact_distribution():
-    # million-sample empirical center weight vs the exact value, 3 sigma
-    n, count = 100, 1_000_000
-    endpoints = sample_endpoints(n, FAIR_CORRELATED, DEFAULT_MOVES, count=count, seed=2024)
-    exact = correlated_walk_distribution(n, FAIR_CORRELATED, DEFAULT_MOVES)
-    p0 = exact[0]
-    sigma = math.sqrt(p0 * (1.0 - p0) / count)
-    empirical = float(np.count_nonzero(endpoints == 0)) / count
-    assert abs(empirical - p0) <= 3.0 * sigma
-    assert p0 == pytest.approx(0.0795, abs=1e-3)
-
-
-def test_sample_endpoints_reproducible_and_bounded():
-    draws = sample_endpoints(10, FAIR_INDEPENDENT, DEFAULT_MOVES, count=1000, seed=3)
-    again = sample_endpoints(10, FAIR_INDEPENDENT, DEFAULT_MOVES, count=1000, seed=3)
-    assert np.array_equal(draws, again)
-    assert np.all(np.abs(draws) <= 10)

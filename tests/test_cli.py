@@ -165,16 +165,16 @@ def test_walk_far_past_int64_keeps_its_labels(tmp_path, fmt, expected):
     ids=["csv", "gnuplot"],
 )
 def test_compare_far_past_int64_keeps_its_labels(tmp_path, fmt, sep, header):
+    # both walks start at the origin; the far labels come from positions
     out = tmp_path / "cmp.out"
     cfg = write_config(
         tmp_path,
         "[experiment]\nmode = compare\ncoin = phi_plus\ncoin_operator = hadamard_n\n"
-        f"shift = s_ec\nsteps = 2\ninitial_position = {HUGE}\n"
-        f"positions = {HUGE + 2} 0 {HUGE} 2\noutput_format = {fmt}\noutput = {out}\n"
-        "[classical]\nmodel = binomial\nn = 2\n",
+        f"shift = s_ec\nsteps = 2\npositions = {HUGE + 2} 0 {-HUGE} {HUGE} 2\n"
+        f"output_format = {fmt}\noutput = {out}\n[classical]\nmodel = binomial\nn = 2\n",
     )
     assert run(cfg, quiet=True) == EXIT_OK
-    rows = [[0, 0, 0.5], [2, 0, 0.25], [HUGE, 0.25, 0], [HUGE + 2, 0.125, 0]]
+    rows = [[-HUGE, 0, 0], [0, 0.25, 0.5], [2, 0.125, 0.25], [HUGE, 0, 0], [HUGE + 2, 0, 0]]
     assert out.read_text() == "".join(
         sep.join(str(x) for x in row) + "\n" for row in [[header]] + rows
     )
@@ -182,8 +182,7 @@ def test_compare_far_past_int64_keeps_its_labels(tmp_path, fmt, sep, header):
 
 def test_identical_config_gives_byte_identical_output(tmp_path):
     out = tmp_path / "walk.json"
-    text = QUANTUM_BASE.format(steps=40, fmt="json", out=out) + "seed = 11\n"
-    cfg = write_config(tmp_path, text)
+    cfg = write_config(tmp_path, QUANTUM_BASE.format(steps=40, fmt="json", out=out))
     assert run(cfg, quiet=True) == EXIT_OK
     first = out.read_bytes()
     assert run(cfg, quiet=True) == EXIT_OK
@@ -609,6 +608,7 @@ PARSE_ERRORS = {
         "experiment.steps: cannot parse 'abc' as int",
     "[experiment]\nmode = quantum\nwarp_drive = on\n":  # unknown key
         "experiment: unknown key(s) ['warp_drive']",
+    "[experiment]\nmode = quantum\nseed = 1\n": "experiment: unknown key(s) ['seed']",
     "[mystery]\nmode = quantum\n": "unknown section [mystery]",
     "[experiment.x]\nsteps = 1\n": "batch section [experiment.x] must end in an integer index",
     # one spelling per index: no leading zero, ASCII digits only
@@ -636,11 +636,13 @@ PARSE_ERRORS = {
         "classical.moves: unknown outcome 'xx', expected one of ('hh', 'ht', 'th', 'tt')",
     "[experiment]\nmode = classical\n[classical]\nmoves = hh:1.5\n":
         "classical.moves: non-integer displacement '1.5'",
+    "[experiment]\nmode = classical\n[classical]\nmoves = hh:1 hh:5 ht:0 th:0 tt:-1\n":
+        "classical.moves: outcome 'hh' given twice",
     "[experiment]\nmode = quantum\ninitial_position = 1 a\n":
         "experiment.initial_position: expected integers, got '1 a'",
     "[experiment]\nmode = compare\npositions = 1, 2.5\n":
         "experiment.positions: expected integers, got '1, 2.5'",
-    "[experiment]\nmode = quantum\nseed = 1.0\n": "experiment.seed: cannot parse '1.0' as int",
+    "[experiment]\nmode = quantum\nsteps = 1.0\n": "experiment.steps: cannot parse '1.0' as int",
     "[experiment]\nmode = entropy\ncut = one\n": "experiment.cut: cannot parse 'one' as int",
     "[experiment]\nmode = classical\n[classical]\nn = ten\n": "classical.n: cannot parse 'ten' as int",
     "[experiment]\nmode = classical\n[classical]\np = half\n":
@@ -671,9 +673,9 @@ PARSE_ERRORS = {
         "experiment.shift_table: expected integers, got 'x'",
     "[experiment]\nmode = quantum\nsteps = y\ninitial_position = q\n":
         "experiment.steps: cannot parse 'y' as int",
-    "[experiment]\nmode = quantum\ninitial_position = q\nseed = r\n":
+    "[experiment]\nmode = quantum\ninitial_position = q\npositions = r\n":
         "experiment.initial_position: expected integers, got 'q'",
-    "[experiment]\nmode = quantum\nseed = r\npositions = s\n": "experiment.seed: cannot parse 'r' as int",
+    "[experiment]\nmode = quantum\nsteps = r\npositions = s\n": "experiment.steps: cannot parse 'r' as int",
     "[experiment]\nmode = quantum\npositions = s\ncut = t\n":
         "experiment.positions: expected integers, got 's'",
     "[experiment]\nmode = warp\nsteps = -1\ncut = t\n": "experiment.cut: cannot parse 't' as int",
@@ -739,6 +741,12 @@ VALIDATION_ERRORS = {
     # the whole request is checked: a quantum run refuses a bad classical section too
     "[experiment]\nmode = quantum\n[classical]\nmodel = binomial\np = -0.5\n":
         "step probability must lie in [0, 1], got -0.5",
+    "[experiment]\nmode = compare\npositions = 2 2 -2\n":  # a repeated position
+        "positions must be distinct, got [2] more than once",
+    "[experiment]\nmode = compare\npositions = 3 -1 3 0 -1\n":
+        "positions must be distinct, got [-1, 3] more than once",
+    "[experiment]\nmode = compare\ninitial_position = 5\n":  # the classical walk starts at 0
+        "compare mode starts both walks at the origin, got initial_position = 5",
     "[experiment]\nmode = quantum\nshift = custom\nshift_table = 0 0 0 0\nsteps = 3000000\n":
         # a walk that never grows still pays each step's fixed cost
         "3000000 steps need 12300000000 amplitude updates, over MAX_WALK_WORK=10000000000",

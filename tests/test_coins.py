@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from entwalk.coins import (
     COIN_PRESETS,
+    _kron,
     build_coin_operator,
     build_initial_coin,
     entanglement_entropy,
@@ -85,6 +86,25 @@ def test_hadamard_operator_three_qubit_entries():
     h1 = build_coin_operator("hadamard_n", 1).matrix
     expected = np.kron(np.kron(h1, h1), h1)
     assert np.allclose(hhh, expected, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["hadamard_n", "y_n"])
+def test_tensor_power_operators_have_the_bits_of_np_kron(kind):
+    one = build_coin_operator(kind, 1).matrix
+    expected = one
+    for qubits in (2, 3):
+        expected = np.kron(expected, one)
+        assert build_coin_operator(kind, qubits).matrix.tobytes() == expected.tobytes()
+
+
+@settings(deadline=None, max_examples=25)
+@given(seeds)
+def test_kron_has_the_bits_of_np_kron(seed):
+    # each entry of both is the one product a[i, j] * b[k, l]
+    rng = np.random.default_rng(seed)
+    a, b = haar_unitary(2, rng), haar_unitary(4, rng)
+    assert _kron(a, b).tobytes() == np.kron(a, b).tobytes()
+    assert _kron(b, a).tobytes() == np.kron(b, a).tobytes()
 
 
 def test_y_operator_entries():

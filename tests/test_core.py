@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from entwalk.coins import COIN_PRESETS, build_coin_operator, build_initial_coin
 from entwalk.core import (
@@ -13,11 +11,8 @@ from entwalk.core import (
     Distribution,
     SiteAmplitudes,
     WalkState,
-    basis_index,
-    basis_label,
     check_unitary,
     state_norm,
-    tensor_product,
 )
 from oracles import haar_unitary
 from states import site_state
@@ -25,28 +20,6 @@ from states import site_state
 SQRT1_2 = 1.0 / np.sqrt(2.0)
 HADAMARD = np.array([[SQRT1_2, SQRT1_2], [SQRT1_2, -SQRT1_2]])
 Y = SQRT1_2 * np.array([[1, 1j], [1j, 1]])
-
-
-@pytest.mark.parametrize("qubits", [1, 2, 3])
-def test_basis_label_round_trip(qubits):
-    for index in range(2**qubits):
-        label = basis_label(index, qubits)
-        assert len(label) == qubits
-        assert basis_index(label) == index
-
-
-def test_basis_label_orders_leftmost_symbol_most_significant():
-    assert basis_index("01") == 1
-    assert basis_index("10") == 2
-    assert basis_label(2, 2) == "10"
-    assert basis_label(5, 3) == "101"
-
-
-def test_basis_label_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        basis_label(4, 2)
-    with pytest.raises(ValueError):
-        basis_index("012")
 
 
 def test_check_unitary_accepts_hadamard():
@@ -196,58 +169,6 @@ def test_coin_check_verdicts_match_a_numpy_check(dim):
             verdicts["state"].append(accepted)
     for kind, seen in verdicts.items():
         assert 50 < sum(seen) < len(seen) - 50, kind  # both verdicts, many times
-
-
-def test_tensor_product_hadamard_sign_pattern():
-    hh = tensor_product(CoinOperator(HADAMARD), CoinOperator(HADAMARD)).matrix
-    assert np.allclose(np.abs(hh), 0.5, atol=1e-15)
-    # row |10>, column |00>: first-factor sign pattern rides the high bit
-    assert hh[2, 0] == pytest.approx(0.5, abs=1e-15)
-    expected_signs = 0.5 * np.array(
-        [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
-    )
-    assert np.allclose(hh, expected_signs, atol=1e-15)
-
-
-def test_tensor_product_identity():
-    eye = CoinOperator(np.eye(2))
-    assert np.array_equal(tensor_product(eye, eye).matrix, np.eye(4))
-
-
-def test_tensor_product_y_pattern():
-    yy = tensor_product(CoinOperator(Y), CoinOperator(Y)).matrix
-    assert np.allclose(np.abs(yy), 0.5, atol=1e-15)
-    assert yy[0, 3] == pytest.approx(-0.5, abs=1e-15)
-    assert yy[0, 1] == pytest.approx(0.5j, abs=1e-15)
-
-
-def test_tensor_product_rejects_oversized_result():
-    h = CoinOperator(HADAMARD)
-    hh = tensor_product(h, h)
-    with pytest.raises(ValueError, match="exceeds"):
-        tensor_product(hh, hh)
-
-
-@settings(deadline=None, max_examples=25)
-@given(st.integers(min_value=0, max_value=2**31 - 1))
-def test_tensor_product_associative(seed):
-    rng = np.random.default_rng(seed)
-    a, b, c = (CoinOperator(haar_unitary(2, rng)) for _ in range(3))
-    ab = tensor_product(a, b)
-    assert np.array_equal(ab.matrix, np.kron(a.matrix, b.matrix))
-    left = tensor_product(ab, c).matrix
-    assert np.array_equal(left, np.kron(ab.matrix, c.matrix))
-    right = np.kron(a.matrix, np.kron(b.matrix, c.matrix))
-    assert np.allclose(left, right, atol=1e-15)
-
-
-@settings(deadline=None, max_examples=25)
-@given(st.integers(min_value=0, max_value=2**31 - 1))
-def test_tensor_product_of_unitaries_is_unitary(seed):
-    rng = np.random.default_rng(seed)
-    u = CoinOperator(haar_unitary(2, rng))
-    v = CoinOperator(haar_unitary(4, rng))
-    assert check_unitary(tensor_product(u, v).matrix, tol=1e-12)
 
 
 def test_walk_state_stores_sparse_positions():

@@ -11,11 +11,9 @@ from entwalk.engine import (
     WalkConfig,
     _walk_cost,
     check_walk_cost,
-    coin_distribution,
     evolve,
     initial_state,
     position_distribution,
-    sample_positions,
     step,
 )
 from entwalk.shifts import SHIFT_PRESETS, build_shift
@@ -196,25 +194,25 @@ def test_position_distribution_sums_to_norm():
     assert sum(p for _, p in d.items_sorted()) == pytest.approx(state_norm(state), abs=1e-12)
 
 
-def test_coin_distribution_bell_walk():
+def coin_marginal(state):
+    """P(c) = sum over sites of |amplitude(pos, c)|^2, read from the coin-major window."""
+    window = state.amplitudes.window
+    planes = window.reshape(len(window), -1)
+    return (np.square(planes.real) + np.square(planes.imag)).sum(axis=1).tolist()
+
+
+def test_coin_marginal_bell_walk():
     cfg = make_config("phi_plus", "hadamard_n", "s_ec", 0)
-    assert coin_distribution(initial_state(cfg)).probs == pytest.approx(
-        {0: 0.5, 3: 0.5}, abs=1e-12
-    )
+    assert coin_marginal(initial_state(cfg)) == pytest.approx([0.5, 0, 0, 0.5], abs=1e-12)
     after_one = step(initial_state(cfg), cfg.coin_op, cfg.shift)
-    d = coin_distribution(after_one)
-    assert d[0] == pytest.approx(0.5, abs=1e-12)
-    assert d[3] == pytest.approx(0.5, abs=1e-12)
-    assert d[1] == 0.0
-    assert d[2] == 0.0
+    assert coin_marginal(after_one) == pytest.approx([0.5, 0, 0, 0.5], abs=1e-12)
+    assert coin_marginal(after_one)[1:3] == [0.0, 0.0]
 
 
-def test_coin_distribution_psi_minus_walk():
+def test_coin_marginal_psi_minus_walk():
     for steps in (0, 7, 31):
         state = evolve(make_config("psi_minus", "hadamard_n", "s_ec", steps))
-        d = coin_distribution(state)
-        assert d[1] == pytest.approx(0.5, abs=1e-12)
-        assert d[2] == pytest.approx(0.5, abs=1e-12)
+        assert coin_marginal(state) == pytest.approx([0, 0.5, 0.5, 0], abs=1e-12)
 
 
 @pytest.mark.parametrize("op", ["hadamard_n", "y_n"])
@@ -357,7 +355,7 @@ def test_real_walk_has_the_bits_of_the_complex_walk(combo):
     assert list(position_distribution(real).probs.items()) == list(
         position_distribution(cplx).probs.items()
     )
-    assert coin_distribution(real).probs == coin_distribution(cplx).probs
+    assert coin_marginal(real) == coin_marginal(cplx)
     assert state_norm(real).hex() == state_norm(cplx).hex()
 
 
@@ -482,12 +480,3 @@ def test_step_validates_agreement():
         step(state, cfg.coin_op, build_shift("s_single"))
 
 
-def test_sample_positions_reproducible():
-    d = position_distribution(evolve(make_config("phi_plus", "hadamard_n", "s_ec", 10)))
-    first = sample_positions(d, 50, seed=123)
-    second = sample_positions(d, 50, seed=123)
-    assert first == second
-    assert all(label in d.probs for label in first)
-    assert sample_positions(d, 0, seed=1) == []
-    with pytest.raises(ValueError):
-        sample_positions(d, -1, seed=1)
