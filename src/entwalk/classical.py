@@ -176,5 +176,9 @@ def correlated_walk_distribution(
             target = nxt[offset : offset + width]
             target += current[:width] * w
         current, nxt = nxt, current
-    support = (current > 0.0).nonzero()[0].tolist()
-    return Distribution({n * lo + g * i: float(current[i]) for i in support})
+    support = (current > 0.0).nonzero()[0]
+    # Labels n*lo + g*i, exact: past int64, the offsets are Python ints.
+    offsets = support
+    if g > 1:
+        offsets = support * g if g * n * span < 2**63 else support.astype(object) * g
+    return Distribution(origin=(n * lo,), offsets=(offsets,), values=current[support])

@@ -34,7 +34,6 @@ every value exact.
 
 from __future__ import annotations
 
-import argparse
 import configparser
 import gc
 import io
@@ -44,6 +43,8 @@ import stat
 import sys
 from dataclasses import dataclass, field
 from itertools import islice
+
+import numpy as np
 
 from .classical import (
     DEFAULT_MOVES,
@@ -204,30 +205,29 @@ def _rows(labels, values, sep: str):
         yield text
 
 
-def _box_rows(labels, probs):
+def _column(array: np.ndarray, origin: int = 0):
+    # The entries of an array as Python numbers, each plus ``origin``,
+    # converted one _BLOCK_ROWS block at a time.
+    for start in range(0, len(array), _BLOCK_ROWS):
+        block = array[start:start + _BLOCK_ROWS].tolist()
+        yield from map(origin.__add__, block) if origin else block
+
+
+def _box_rows(dist: Distribution):
     # gnuplot positions: every grid point of the support's bounding box,
-    # zeros included, with a blank line after each x block in 2D.  Labels
-    # are sorted Python ints of any size; only their offsets from the box
-    # corner index the dense grid.
-    ys = labels[-1]
-    y0 = min(ys)
-    width = max(ys) - y0 + 1
-    if len(labels) == 1:
-        grid = [0.0] * width
-        for y, p in zip(ys, probs):
-            grid[y - y0] = p
-        yield from _rows([range(y0, y0 + width)], [grid], " ")
+    # zeros included, with a blank line after each x block in 2D.  Only the
+    # offsets from the box corner index the zero-filled grid; labels are
+    # printed as exact Python ints.
+    corner = [int(off.min()) for off in dist.offsets]
+    grid = np.zeros([int(off.max()) - c + 1 for off, c in zip(dist.offsets, corner)])
+    grid[tuple(off - c for off, c in zip(dist.offsets, corner))] = dist.values
+    first = [o + c for o, c in zip(dist.origin, corner)]
+    if grid.ndim == 1:
+        yield from _rows([range(first[0], first[0] + len(grid))], [_column(grid)], " ")
         return
-    xs = labels[0]
-    x0 = xs[0]
-    grid = [0.0] * ((xs[-1] - x0 + 1) * width)
-    for x, y, p in zip(xs, ys, probs):
-        grid[(x - x0) * width + y - y0] = p
-    heads = [f" {y} " for y in range(y0, y0 + width)]
-    for start in range(0, len(grid), width):
-        x = str(x0 + start // width)
-        block = grid[start:start + width]
-        yield "".join([x + head + _format_prob(p) + "\n" for head, p in zip(heads, block)]) + "\n"
+    heads = [f" {y} " for y in range(first[1], first[1] + grid.shape[1])]
+    for x, block in enumerate(grid, start=first[0]):
+        yield "".join([f"{x}{head}{_format_prob(p)}\n" for head, p in zip(heads, block.tolist())]) + "\n"
 
 
 def _write_table(
@@ -239,13 +239,14 @@ def _write_table(
     config_echo: dict,
     metadata: dict,
     json_key: str,
-    box: bool = False,
+    box_rows=None,
 ) -> None:
     # The one table writer.  Rows are sorted by label; ``labels`` holds one
     # column of ints per label and ``values`` one column of floats per value
-    # cell.  csv and gnuplot print values through PRINT_FLOOR; json keeps
-    # them exact, with a row's labels folded into one list when it has
-    # several.  ``box`` zero-fills the labels' bounding box in gnuplot.
+    # cell, each an iterable read once.  csv and gnuplot print values
+    # through PRINT_FLOOR; json keeps them exact, with a row's labels folded
+    # into one list when it has several.  gnuplot writes ``box_rows`` instead
+    # of the rows when given.
     def write(out: io.TextIOBase) -> None:
         if output_format == "json":
             import json  # only json output pays for the import
@@ -261,7 +262,7 @@ def _write_table(
             out.writelines(_rows(labels, values, ","))
         else:
             out.write("# " + " ".join(header) + "\n")
-            out.writelines(_box_rows(labels, values[0]) if box else _rows(labels, values, " "))
+            out.writelines(box_rows if box_rows is not None else _rows(labels, values, " "))
 
     if path is None:
         write(sys.stdout)
@@ -279,22 +280,20 @@ def emit_distribution(
 ) -> None:
     """Write one distribution to ``path`` (or stdout when ``path`` is None).
 
-    See the module docstring for the three formats.  Raises OSError on an
-    unwritable path and ValidationError on an unknown format.
+    See the module docstring for the three formats.  csv and gnuplot rows
+    are made from the distribution's arrays one block at a time.  Raises
+    OSError on an unwritable path and ValidationError on an unknown format.
     """
     if output_format not in OUTPUT_FORMATS:
         raise ValidationError(f"unknown output format {output_format!r}")
-    keys = dist.support()
-    probs = list(map(dist.probs.__getitem__, keys))
-    if keys and isinstance(keys[0], tuple):
-        labels = list(zip(*keys))
+    labels = [_column(off, o) for o, off in zip(dist.origin, dist.offsets)]
+    if len(labels) == 2:
         first = "position_x" if output_format == "gnuplot" else "position"
         header = [first, "position_y", "probability"]
     else:
-        labels = [keys]
         header = ["position", "probability"]
-    _write_table(header, labels, [probs], output_format, path, config_echo or {}, metadata or {},
-                 "distribution", box=True)
+    _write_table(header, labels, [_column(dist.values)], output_format, path, config_echo or {},
+                 metadata or {}, "distribution", _box_rows(dist))
 
 
 def _emit_table(
@@ -456,12 +455,24 @@ def _build_classical_params(section: dict) -> ClassicalParams:
     return ClassicalParams(**kwargs)
 
 
+# Each custom-data experiment key and the preset key it belongs to: the
+# data is read only beside ``custom``, so no data key may sit beside a preset.
+_CUSTOM_KEYS = {"coin_amplitudes": "coin", "coin_matrix": "coin_operator", "shift_table": "shift"}
+
+
 def _build_experiment(exp: dict, cls: dict) -> ExperimentConfig:
     _check_keys("experiment", exp)
     if "mode" not in exp:
         raise ValidationError("experiment.mode is required")
     classical = _build_classical_params(cls)
-    return ExperimentConfig(classical=classical, **_parse_fields("experiment", exp))
+    fields = _parse_fields("experiment", exp)
+    for key, preset in _CUSTOM_KEYS.items():
+        name = fields.get(preset, getattr(ExperimentConfig, preset))
+        if key in exp and name != "custom":
+            raise ValidationError(
+                f"experiment.{key} applies only to {preset} = 'custom', got {preset} = {name!r}"
+            )
+    return ExperimentConfig(classical=classical, **fields)
 
 
 def _config_echo(exp: dict, cls: dict) -> dict:
@@ -494,7 +505,7 @@ def _run_classical(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
     meta = {
         "mode": cfg.mode,
         "steps": cfg.classical.n,
-        "norm": math.fsum(dist.probs.values()),
+        "norm": math.fsum(dist.values.tolist()),
         "model": cfg.classical.model,
     }
     emit_distribution(dist, cfg.output_format, path, echo, meta)
@@ -691,9 +702,65 @@ def run(config_path: str, overrides=(), quiet: bool = False) -> int:
     return EXIT_OK
 
 
+USAGE = "entwalk run CONFIG [--override KEY=VALUE]... [--quiet]"
+
+HELP = f"""usage: {USAGE}
+
+Quantum walks with multi-qubit coins: config-driven experiment runner.
+
+  CONFIG                path to an INI experiment config
+  --override KEY=VALUE  override a config value; bare keys target [experiment],
+                        dotted keys (classical.n=50) target that section;
+                        repeatable, also as --override=KEY=VALUE
+  --quiet               suppress per-run summaries
+  -h, --help            show this help and exit
+
+Options may come before or after CONFIG; after --, the next argument is
+CONFIG even if it starts with -.
+"""
+
+
+def _parse_argv(argv: list[str]) -> tuple[str, list[str], bool] | None:
+    # (config, overrides, quiet) of ``run``, or None for -h/--help.  Raises
+    # ParseError, one line, on any other command line.
+    words = iter(argv)
+    command = next(words, None)
+    if command in ("-h", "--help"):
+        return None
+    configs, overrides, quiet = [], [], False
+    for word in words:
+        if word == "--":
+            configs += words
+        elif word in ("-h", "--help"):
+            return None
+        elif word == "--quiet":
+            quiet = True
+        elif word == "--override":
+            value = next(words, None)
+            if value is None or value.startswith("-"):
+                raise ParseError("--override needs a KEY=VALUE argument")
+            overrides.append(value)
+        elif word.startswith("--override="):
+            overrides.append(word.partition("=")[2])
+        elif word.startswith("-") and word != "-":
+            raise ParseError(f"unrecognized argument {word!r}")
+        else:
+            configs.append(word)
+    if command != "run":
+        raise ParseError("missing the command 'run'" if command is None else f"unknown command {command!r}")
+    if len(configs) != 1:
+        raise ParseError("missing CONFIG" if not configs else f"one CONFIG expected, got {len(configs)}")
+    return configs[0], overrides, quiet
+
+
 def console_main(argv=None) -> int:
-    """Process entry point of the ``entwalk`` command: parse ``argv`` and
-    call :func:`run`.
+    """Process entry point of the ``entwalk`` command: parse ``argv``
+    (default ``sys.argv[1:]``) and call :func:`run`.
+
+    The one grammar is ``entwalk run CONFIG [--override KEY=VALUE]...
+    [--quiet]``.  ``-h``/``--help`` prints the usage to stdout and returns
+    0; any other command line prints one ``error: usage:`` line to stderr
+    and returns 2.
 
     It first calls ``gc.freeze()``, which moves the caller's whole heap to
     the collector's permanent generation and leaves it there: cyclic garbage
@@ -705,24 +772,16 @@ def console_main(argv=None) -> int:
     # numpy's objects.  Frozen after run() instead, the run's garbage would
     # stay alive too.
     gc.freeze()
-    ap = argparse.ArgumentParser(
-        prog="entwalk",
-        description="Quantum walks with multi-qubit coins: config-driven experiment runner.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-    runp = sub.add_parser("run", help="run the experiment(s) described by a config file")
-    runp.add_argument("config", help="path to an INI experiment config")
-    runp.add_argument(
-        "--override",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override a config value; bare keys target [experiment], "
-        "dotted keys (classical.n=50) target that section; repeatable",
-    )
-    runp.add_argument("--quiet", action="store_true", help="suppress per-run summaries")
-    args = ap.parse_args(argv)
-    return run(args.config, overrides=args.override, quiet=args.quiet)
+    try:
+        args = _parse_argv(sys.argv[1:] if argv is None else list(argv))
+    except ParseError as exc:
+        print(f"error: usage: {exc}; expected {USAGE}", file=sys.stderr)
+        return EXIT_PARSE
+    if args is None:
+        sys.stdout.write(HELP)
+        return EXIT_OK
+    config, overrides, quiet = args
+    return run(config, overrides=overrides, quiet=quiet)
 
 
 if __name__ == "__main__":

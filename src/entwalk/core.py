@@ -40,8 +40,8 @@ __all__ = [
 MAX_QUBITS = 3
 
 # Cap on the amplitudes of one walk-state window, 16 bytes each in
-# complex128 and 8 in float64; a walk step holds three windows of about
-# this size.
+# complex128 and 8 in float64; a walk step holds two windows of about this
+# size, and a workspace of two coin blocks (engine._BLOCK_AMPLITUDES).
 MAX_WINDOW_AMPLITUDES = 2**23
 
 # Construction-time tolerance for custom unitaries and state normalization.
@@ -278,36 +278,85 @@ def state_norm(state: WalkState) -> float:
     return _fsum(sums)
 
 
-@dataclass(frozen=True)
 class Distribution:
     """Probability assignment over lattice positions or coin basis indices.
 
     Labels are ints for 1D positions and coin indices, ``(x, y)`` tuples for
     2D positions.  Entries must be nonnegative and sum to 1 within 1e-10.
+
+    Built from a mapping ``Distribution({label: probability})``, or, as the
+    walks build it, from a support held as arrays: ``Distribution(origin=...,
+    offsets=..., values=...)``.  Either way the instance holds its sorted
+    support as ``origin``, one Python int per axis; ``offsets``, one integer
+    array per axis, its rows in ascending (in 2D lexicographic) order; and
+    ``values``, the float64 probabilities of those rows.  Row k's label is
+    ``origin[a] + offsets[a][k]`` on each axis a, exact at any size.  The
+    ``probs`` dict is built when something first reads it; a mapping-built
+    distribution keeps the mapping's order there.
     """
 
-    probs: dict
+    __slots__ = ("origin", "offsets", "values", "_probs")
 
-    def __post_init__(self) -> None:
-        labels = list(self.probs)
-        values = list(map(float, self.probs.values()))
-        total = sum(values)
-        if not (math.isfinite(total) and min(values, default=0.0) >= 0.0):
-            for label, p in zip(labels, values):
-                if not 0.0 <= p < math.inf:
-                    raise ValueError(f"invalid probability {p!r} at {label!r}")
-        if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1")
+    def __init__(self, probs=None, *, origin=(), offsets=(), values=None):
+        self._probs = None
+        if probs is None:
+            self.origin, self.offsets = tuple(origin), tuple(offsets)
+            self.values = np.asarray(values, dtype=np.float64)
+            self._check(self.values, self._label)
+            return
+        labels = list(probs)
         kinds = set(map(type, labels))
         if kinds == {tuple}:
             kinds = set(map(type, chain.from_iterable(labels)))
         if not kinds <= {int}:
             labels = [tuple(map(int, x)) if isinstance(x, (tuple, list)) else int(x) for x in labels]
-        object.__setattr__(self, "probs", dict(zip(labels, values)))
+        values = np.array(list(map(float, probs.values())), dtype=np.float64)
+        self._check(values, labels.__getitem__)
+        self._probs = dict(zip(labels, values.tolist()))
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        rows = [labels[k] for k in order]
+        axes = list(zip(*rows, strict=True)) if isinstance(rows[0], tuple) else [rows]
+        self.origin = tuple(min(axis) for axis in axes)
+        self.offsets = tuple(np.array([x - o for x in axis]) for axis, o in zip(axes, self.origin))
+        self.values = values[order]
+
+    def _label(self, k: int):
+        label = tuple(o + int(off[k]) for o, off in zip(self.origin, self.offsets))
+        return label[0] if len(label) == 1 else label
+
+    @staticmethod
+    def _check(values: np.ndarray, label) -> None:
+        total = float(np.add.reduce(values))
+        if not (math.isfinite(total) and values.min(initial=0.0) >= 0.0):
+            valid = (values >= 0.0) & (values < math.inf)  # NaN fails both
+            if not valid.all():
+                k = int(np.argmin(valid))
+                raise ValueError(f"invalid probability {float(values[k])!r} at {label(k)!r}")
+        if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
+            raise ValueError(f"probabilities sum to {total!r}, expected 1")
+
+    @property
+    def probs(self) -> dict:
+        """``{label: probability}`` over the support."""
+        if self._probs is None:
+            axes = [[o + i for i in off.tolist()] for o, off in zip(self.origin, self.offsets)]
+            labels = axes[0] if len(axes) == 1 else zip(*axes)
+            self._probs = dict(zip(labels, self.values.tolist()))
+        return self._probs
 
     def __getitem__(self, label) -> float:
         key = tuple(label) if isinstance(label, (tuple, list)) else label
         return self.probs.get(key, 0.0)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Distribution):
+            return NotImplemented
+        return self.probs == other.probs
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Distribution({self.probs!r})"
 
     def items_sorted(self) -> list:
         """(label, probability) pairs sorted ascending by label."""

@@ -52,6 +52,28 @@ MAX_WALK_WORK = 10**10
 # steps, under a minute and a half.
 _STEP_OVERHEAD = 4096
 
+# Amplitudes in one block of a step's coin: the coin runs block by block
+# over rows of the window, so a step holds two windows and a workspace of
+# two blocks.  On ghz3/s_2d N=50 (one 2-vCPU host), 2**13-amplitude blocks
+# took 10.3 ms, 2**14 7.8, 2**15 7.3 and one block a step 7.8; at N=200,
+# 2**15 blocks halve a walk's time, as the step's arrays then stay in cache.
+_BLOCK_AMPLITUDES = 2**15
+
+# numpy (2.4) runs the coin's (dim, 1) x (n,) broadcast multiply through its
+# ufunc buffers when dim > 2 and n is under a third of the buffer size, 8192
+# elements by default: at ~1.0-1.5 ns an element, against ~0.3 ns
+# unbuffered (one 2-vCPU host).  So a step whose blocks hold from
+# _UNBUFFERED_SITES to _BUFFERED_BELOW sites runs its coin with buffers of
+# _UFUNC_BUFSIZE elements, which leaves every product over 170 sites
+# unbuffered; buffering changes no product's bits.  Setting and resetting
+# the size costs ~2 us, and larger blocks would then run in 512-element
+# pieces (~10 us more a step at 20001 sites).  From ~256 sites on it would
+# pay too, but a fresh walk2d_ghz request then peaked ~0.2 MB higher
+# (median of 20 processes): its heap-allocated windows lay out differently.
+_UFUNC_BUFSIZE = 512
+_UNBUFFERED_SITES = 1024
+_BUFFERED_BELOW = 8192 // 3 + 1
+
 
 @dataclass(frozen=True)
 class WalkConfig:
@@ -113,6 +135,15 @@ def initial_state(cfg: WalkConfig) -> WalkState:
     )
 
 
+def _blocks(shape: tuple[int, ...]) -> int:
+    # How many blocks of rows the coin takes a window of ``shape`` in:
+    # ceil(amplitudes / _BLOCK_AMPLITUDES), but no more than it has rows.
+    # Their sizes differ by one row at most, so none holds more than
+    # _BLOCK_AMPLITUDES plus one row.  A row is one site in 1D and one line
+    # of sites along y in 2D.
+    return min(shape[1], -(-math.prod(shape) // _BLOCK_AMPLITUDES))
+
+
 def step(
     state: WalkState,
     coin_op: CoinOperator,
@@ -127,8 +158,13 @@ def step(
     ``complex128``.  A real product rounds as the real part of the complex
     one, so a real walk has the bits of the same walk run in ``complex128``.
 
-    ``scratch`` is an optional workspace: a flat array of the returned
-    window's dtype and of at least the state's window size, which the coin
+    The coin runs block by block over rows of the state's window, into a
+    workspace of two blocks, and the shift copies each block's planes into
+    the new window; so a step holds the state's window, the new one and the
+    workspace.  A block holds at most ``_BLOCK_AMPLITUDES`` amplitudes plus
+    one row of the window.  ``scratch`` is an optional workspace: a
+    flat array of the returned window's dtype and of at least two blocks
+    (twice the state's window size always suffices), which the coin
     overwrites.  It changes no result, and the returned state never shares
     its memory, so one workspace can serve every step of a walk.
     """
@@ -139,28 +175,42 @@ def step(
     if shift.dims != state.dims:
         raise ValueError(f"shift is {shift.dims}D, state is {state.dims}D")
     sites = state.amplitudes
-    shape, size = sites.window.shape, sites.window.size
+    window = sites.window
     matrix = coin_op.matrix
-    if sites.window.dtype == np.float64 and coin_op._real_matrix is not None:
+    if window.dtype == np.float64 and coin_op._real_matrix is not None:
         matrix = coin_op._real_matrix
-    if scratch is not None and scratch.dtype != matrix.dtype:
-        raise ValueError(f"scratch is {scratch.dtype}, the step writes {matrix.dtype}")
-    # The grown window comes first: until the shift fills it, its leading
-    # amplitudes hold the coin's products.  So at most three window-sized
-    # arrays are alive at once: this state's, the tossed planes and this.
-    grown = np.empty(_shifted_shape(shape, shift), dtype=matrix.dtype)
-    product = grown.reshape(-1)[:size].reshape(shape)
-    tossed = np.empty(shape, dtype=matrix.dtype) if scratch is None else scratch[:size].reshape(shape)
+    rows, blocks = window.shape[1], _blocks(window.shape)
+    need = 2 * -(-rows // blocks) * (window.size // rows)
+    if scratch is None:
+        scratch = np.empty(need, dtype=matrix.dtype)
+    elif scratch.dtype != matrix.dtype or scratch.size < need:
+        raise ValueError(
+            f"scratch holds {scratch.size} {scratch.dtype}, the step needs {need} {matrix.dtype}"
+        )
+    grown = np.zeros(_shifted_shape(window.shape, shift), dtype=matrix.dtype)
     # Coin column j times coin plane j, summed over j in ascending order,
     # each product rounded before it is added and no BLAS: fused
     # multiply-adds would leave rounding residues where a site's components
     # cancel exactly, and exact zeros define the support.
     columns = matrix.reshape(matrix.shape + (1,) * state.dims)
-    np.multiply(columns[:, 0], sites.window[0], out=tossed)
-    for j in range(1, coin_op.dim):
-        tossed += np.multiply(columns[:, j], sites.window[j], out=product)
-    window, origin = _shift_amplitudes(tossed, sites.origin, shift, out=grown)
-    return WalkState(dims=state.dims, qubits=state.qubits, amplitudes=SiteAmplitudes(window, origin))
+    widest = need // (2 * coin_op.dim)  # sites in the largest block
+    unbuffered = coin_op.dim > 2 and _UNBUFFERED_SITES <= widest < _BUFFERED_BELOW
+    bufsize = np.setbufsize(_UFUNC_BUFSIZE) if unbuffered else None
+    try:
+        for b in range(blocks):
+            start = b * rows // blocks
+            block = window[:, start:(b + 1) * rows // blocks]
+            size = block.size
+            tossed = scratch[:size].reshape(block.shape)
+            product = scratch[size:2 * size].reshape(block.shape)
+            np.multiply(columns[:, 0], block[0], out=tossed)
+            for j in range(1, coin_op.dim):
+                tossed += np.multiply(columns[:, j], block[j], out=product)
+            grown, origin = _shift_amplitudes(tossed, sites.origin, shift, out=grown, start=start)
+    finally:
+        if bufsize is not None:
+            np.setbufsize(bufsize)
+    return WalkState(dims=state.dims, qubits=state.qubits, amplitudes=SiteAmplitudes(grown, origin))
 
 
 def _walk_cost(cfg: WalkConfig) -> tuple[int, int]:
@@ -197,25 +247,14 @@ def evolve(cfg: WalkConfig) -> WalkState:
     """
     window = check_walk_cost(cfg)
     state = initial_state(cfg)
-    # One workspace for every step's tossed planes: no step's window is
-    # larger than the final one, and every step keeps the first's dtype.
-    scratch = np.empty(window, dtype=state.amplitudes.window.dtype)
+    # One workspace for every step's two coin blocks, in the dtype that
+    # every step keeps: no step's block is larger than the final window, nor
+    # than _BLOCK_AMPLITUDES plus one row of the final window.
+    row = window // (1 + cfg.steps * cfg.shift._layout.span[0])
+    scratch = np.empty(2 * min(window, _BLOCK_AMPLITUDES + row), dtype=state.amplitudes.window.dtype)
     for _ in range(cfg.steps):
         state = step(state, cfg.coin_op, cfg.shift, scratch=scratch)
     return state
-
-
-def _weights(state: WalkState) -> np.ndarray:
-    # |amplitude|^2 as a site-major contiguous array, shape (extent..., 2**q).
-    # numpy sums a contiguous row pairwise, so a site's total does not
-    # depend on the window layout; a plane-by-plane sum would round
-    # differently.  A real window squares once: re**2 + 0.0 is re**2.
-    window = state.amplitudes.window
-    site_major = window.transpose(*range(1, window.ndim), 0)
-    weights = np.square(site_major.real, out=np.empty(site_major.shape))
-    if window.dtype != np.float64:
-        weights += np.square(site_major.imag)
-    return weights
 
 
 def position_distribution(state: WalkState) -> Distribution:
@@ -225,8 +264,18 @@ def position_distribution(state: WalkState) -> Distribution:
     are labeled by plain ints, 2D positions by (x, y) tuples.
     """
     sites = state.amplitudes
-    hits = sites.occupied().nonzero()
-    probs = _weights(state).sum(axis=-1)[hits].tolist()
-    axes = [[i + o for i in hit.tolist()] for hit, o in zip(hits, sites.origin)]
-    labels = axes[0] if state.dims == 1 else zip(*axes)
-    return Distribution(dict(zip(labels, probs)))
+    window = sites.window
+    flat = np.flatnonzero(sites.occupied())
+    # Only the occupied sites' coin rows, gathered site-major into one
+    # contiguous array and squared in place.  numpy sums a contiguous row
+    # pairwise, so a site's total does not depend on the window's layout; a
+    # plane-by-plane sum would round differently.  A real window squares
+    # once: re**2 + 0.0 is re**2.
+    rows = window.reshape(len(window), -1).T[flat]
+    if rows.dtype == np.float64:
+        weights = np.square(rows, out=rows)
+    else:
+        parts = np.square(rows.view(np.float64), out=rows.view(np.float64))
+        weights = np.add(parts[:, 0::2], parts[:, 1::2])
+    offsets = (flat,) if state.dims == 1 else np.divmod(flat, window.shape[2])
+    return Distribution(origin=sites.origin, offsets=offsets, values=weights.sum(axis=1))

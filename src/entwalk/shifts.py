@@ -6,7 +6,8 @@ fully described by its per-basis-state displacement table; unitarity is
 structural (each (position, coin) basis state maps to a distinct one), so no
 numeric check is needed.  On a dense coin-major window the shift is one
 slice copy per coin plane into a zero-filled, larger window: a fresh one,
-or the one a walk step allocated for it.
+or the one a walk step allocated for it, which takes the planes one block
+of rows at a time.
 """
 
 from __future__ import annotations
@@ -143,18 +144,25 @@ def _shift_amplitudes(
     origin: tuple[int, ...],
     table: DisplacementTable,
     out: np.ndarray | None = None,
+    start: int = 0,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
-    # ``out`` (a fresh window when None, else one of _shifted_shape) is
-    # zero-filled and takes each coin plane by one slice copy; the input is
-    # never written.  Returns the filled window and its origin.
-    layout = table._layout
-    extent = window.shape[1:]
+    # Copies each coin plane of ``window`` into ``out`` by one slice copy;
+    # the input is never written.  ``window`` holds the rows from ``start``
+    # on of a window whose index 0 sits at ``origin``; ``out`` is the
+    # zero-filled window that shifting that whole window fills, a fresh one
+    # when None.  Returns ``out`` and its origin.
+    offsets = table._layout.offsets
     if out is None:
-        out = np.empty(_shifted_shape(window.shape, table), dtype=window.dtype)
-    out.fill(0)
-    for c, offset in enumerate(layout.offsets):
-        out[(c, *map(slice, offset, map(operator.add, offset, extent)))] = window[c]
-    return out, tuple(map(operator.add, origin, layout.lo))
+        out = np.zeros(_shifted_shape(window.shape, table), dtype=window.dtype)
+    rows = window.shape[1]
+    if window.ndim == 2:
+        for c, (x,) in enumerate(offsets):
+            out[c, start + x:start + x + rows] = window[c]
+    else:
+        cols = window.shape[2]
+        for c, (x, y) in enumerate(offsets):
+            out[c, start + x:start + x + rows, y:y + cols] = window[c]
+    return out, tuple(map(operator.add, origin, table._layout.lo))
 
 
 def apply_shift(state: WalkState, table: DisplacementTable) -> WalkState:

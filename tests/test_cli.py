@@ -763,6 +763,21 @@ VALIDATION_ERRORS = {
         "classical.n must be nonnegative, got -1",
     "[experiment]\nmode = quantum\n[classical]\nn = -1\np = 2\n":
         "classical.n must be nonnegative, got -1",
+    # custom data beside a preset: the preset's data is used, so the data is refused
+    "[experiment]\nmode = quantum\ncoin_amplitudes = (1, 0)\ncoin_matrix = (1, 0) (0, 0); (0, 0) (1, 0)\n"
+    "shift_table = 1 -1\nsteps = 2\n":
+        "experiment.coin_amplitudes applies only to coin = 'custom', got coin = 'phi_plus'",
+    "[experiment]\nmode = quantum\ncoin_operator = y_n\ncoin_matrix = (1, 0) (0, 0); (0, 0) (1, 0)\n":
+        "experiment.coin_matrix applies only to coin_operator = 'custom', got coin_operator = 'y_n'",
+    "[experiment]\nmode = quantum\ncoin = ghz3\nshift = s_2d\nshift_table = 1 -1\n":
+        "experiment.shift_table applies only to shift = 'custom', got shift = 's_2d'",
+    "[experiment]\nmode = entropy\ncoin = theta1\ncoin_amplitudes = (1, 0) (0, 0) (0, 0) (0, 0)\n":
+        "experiment.coin_amplitudes applies only to coin = 'custom', got coin = 'theta1'",
+    # ... and it is checked after the classical section, before the other experiment checks
+    "[experiment]\nmode = warp\nshift_table = 1 -1\n":
+        "experiment.shift_table applies only to shift = 'custom', got shift = 's_ec'",
+    "[experiment]\nmode = quantum\nshift_table = 1 -1\n[classical]\nn = -1\n":
+        "classical.n must be nonnegative, got -1",
     # the experiment checks, in field order
     "[experiment]\nmode = warp\noutput_format = yaml\nsteps = -1\n":
         "mode must be one of ('quantum', 'classical', 'compare', 'entropy'), got 'warp'",
@@ -795,6 +810,21 @@ def test_a_coin_past_float64_is_one_stderr_line(tmp_path, coin, message):
     result = run_process("-m", "entwalk.cli", "run", cfg, "--quiet")
     assert result.returncode == EXIT_VALIDATION
     assert result.stderr == f"error: validation: {message}\n"
+
+
+def test_custom_data_inherited_beside_a_preset_is_refused(tmp_path, capsys):
+    # a base-section table reaches every batch job; job 2 names a preset beside it
+    cfg = write_config(
+        tmp_path,
+        "[experiment]\nmode = quantum\nshift = custom\nshift_table = 1 0 0 -1\nsteps = 2\n"
+        f"output = {tmp_path / 'out.csv'}\n[experiment.1]\n[experiment.2]\nshift = s_ec_prime\n",
+    )
+    assert run(cfg, quiet=True) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: validation: experiment.shift_table applies only to shift = 'custom', "
+        "got shift = 's_ec_prime'\n"
+    )
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_compare_refuses_a_2d_walk_before_walking(tmp_path, capsys, monkeypatch):
@@ -1027,22 +1057,92 @@ def test_console_main_runs_subcommand(tmp_path, capsys, unfreeze_gc):
     assert "3 step(s)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_console_main_freezes_the_loaded_heap_and_imports_json_only_for_json(tmp_path, fmt):
-    out = tmp_path / f"walk.{fmt}"
-    cfg = write_config(tmp_path, QUANTUM_BASE.format(steps=2, fmt=fmt, out=out))
+MODE_CONFIGS = {
+    "quantum-csv": QUANTUM_BASE.format(steps=2, fmt="csv", out="{out}"),
+    "quantum-json": QUANTUM_BASE.format(steps=2, fmt="json", out="{out}"),
+    "quantum-2d-gnuplot": "[experiment]\nmode = quantum\ncoin = ghz3\nshift = s_2d\nsteps = 2\n"
+                          "output_format = gnuplot\noutput = {out}\n",
+    "classical": "[experiment]\nmode = classical\noutput = {out}\n[classical]\nn = 3\n",
+    "compare": "[experiment]\nmode = compare\nsteps = 2\noutput = {out}\n[classical]\nn = 2\n",
+    "entropy": "[experiment]\nmode = entropy\ncoin = ghz3\noutput = {out}\n",
+}
+
+
+@pytest.mark.parametrize("mode", MODE_CONFIGS)
+def test_console_main_freezes_the_loaded_heap_and_imports_only_what_it_uses(tmp_path, mode):
+    # json only for json output; argparse, gettext and locale never
+    out = tmp_path / "walk.out"
+    cfg = write_config(tmp_path, MODE_CONFIGS[mode].replace("{out}", str(out)))
     probe = (
         "import gc, sys\n"
         "from entwalk.cli import console_main\n"
         "assert console_main(sys.argv[1:]) == 0\n"
-        "print(gc.get_freeze_count(), 'json' in sys.modules)\n"
+        "modules = ('json', 'argparse', 'gettext', 'locale')\n"
+        "print(gc.get_freeze_count(), *(m in sys.modules for m in modules))\n"
     )
     result = run_process("-c", probe, "run", cfg, "--quiet")
     assert result.returncode == 0, result.stderr
-    frozen, json_loaded = result.stdout.split()
+    frozen, *loaded = result.stdout.split()
     assert int(frozen) > 0
-    assert json_loaded == str(fmt == "json")
+    assert loaded == [str(mode == "quantum-json"), "False", "False", "False"]
     assert out.exists()
+
+
+def test_console_main_help_goes_to_stdout(capsys, unfreeze_gc):
+    for argv in (["--help"], ["-h"], ["run", "--help"], ["run", "x.ini", "-h"]):
+        assert console_main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: entwalk run CONFIG [--override KEY=VALUE]... [--quiet]\n")
+        assert captured.err == ""
+
+
+def test_console_main_takes_options_before_or_after_the_config(tmp_path, capsys, unfreeze_gc):
+    out = tmp_path / "walk.csv"
+    cfg = write_config(tmp_path, QUANTUM_BASE.format(steps=2, fmt="csv", out=out))
+    argvs = [
+        ["run", "--quiet", cfg, "--override", "steps=1"],
+        ["run", "--override=steps=1", "--quiet", cfg],
+        ["run", "--quiet", "--override", "steps=1", "--", cfg],
+    ]
+    for argv in argvs:
+        out.unlink(missing_ok=True)
+        assert console_main(argv) == EXIT_OK
+        assert out.read_text() == "position,probability\n-1,0.5\n1,0.5\n"
+        assert capsys.readouterr().err == ""
+
+
+USAGE_ERRORS = {
+    "none": [],
+    "run-alone": ["run"],
+    "unknown-option": ["run", "{cfg}", "--bogus"],
+    "abbreviated-option": ["run", "{cfg}", "--quie"],
+    "override-without-value": ["run", "{cfg}", "--override"],
+    "override-before-an-option": ["run", "{cfg}", "--override", "--quiet"],
+    "two-configs": ["run", "{cfg}", "{cfg}"],
+    "unknown-command": ["walk", "{cfg}"],
+}
+
+
+@pytest.mark.parametrize("case", USAGE_ERRORS)
+def test_console_main_usage_errors_are_one_stderr_line(tmp_path, capsys, unfreeze_gc, case):
+    out = tmp_path / "walk.csv"
+    cfg = write_config(tmp_path, QUANTUM_BASE.format(steps=1, fmt="csv", out=out))
+    argv = [cfg if word == "{cfg}" else word for word in USAGE_ERRORS[case]]
+    assert console_main(argv) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: usage: ") and captured.err.count("\n") == 1
+    assert captured.err.endswith("; expected entwalk run CONFIG [--override KEY=VALUE]... [--quiet]\n")
+    assert not out.exists()
+
+
+def test_a_usage_error_in_a_fresh_process_has_no_traceback():
+    result = run_process("-m", "entwalk.cli", "run")
+    assert result.returncode == EXIT_PARSE
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: usage: missing CONFIG; expected entwalk run CONFIG [--override KEY=VALUE]... [--quiet]\n"
+    )
 
 
 def test_emit_distribution_rejects_unknown_format(tmp_path):

@@ -246,3 +246,93 @@ def test_distribution_sorts_labels():
     d2 = Distribution({(1, 0): 0.5, (0, 1): 0.5})
     assert d2.support() == [(0, 1), (1, 0)]
     assert d2[(1, 0)] == 0.5
+
+
+HUGE = 99999999999999999999999  # past int64: labels must stay Python ints
+
+
+def _walk_distribution(coin, op, shift, steps, start=None):
+    from entwalk.engine import WalkConfig, evolve, position_distribution
+    from entwalk.shifts import build_shift
+
+    coin_state = build_initial_coin(coin)
+    cfg = WalkConfig(
+        coin_state=coin_state,
+        coin_op=build_coin_operator(op, coin_state.qubits),
+        shift=build_shift(shift),
+        steps=steps,
+        initial_position=start,
+    )
+    return position_distribution(evolve(cfg))
+
+
+def _check_api(d, labels, probs):
+    # every read of a distribution agrees with its sorted (label, probability) rows
+    assert d.values.tolist() == pytest.approx(probs, abs=1e-15)
+    probs = d.values.tolist()
+    assert list(d.probs) == labels
+    assert list(d.probs.values()) == probs
+    assert d.support() == labels
+    assert d.items_sorted() == list(zip(labels, probs))
+    for label, p in zip(labels, probs):
+        assert d[label] == p
+        assert type(d[label]) is float
+    assert all(type(x) is int for label in labels for x in (label if isinstance(label, tuple) else [label]))
+
+
+def test_distribution_from_the_engine_keeps_its_api():
+    d = _walk_distribution("ghz3", "hadamard_n", "s_2d", 2)
+    labels = [(-1, -1), (-1, 0), (0, -2), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 0)]
+    probs = [0.03125, 0.125, 0.03125, 0.25, 0.0625, 0.125, 0.0625, 0.25, 0.03125, 0.03125]
+    _check_api(d, labels, probs)
+    assert d[(5, 5)] == 0.0 and d[[0, -1]] == d[(0, -1)]
+    # row k's label is origin + offsets[k], axis by axis
+    rows = zip(*(off.tolist() for off in d.offsets))
+    assert [tuple(map(sum, zip(d.origin, row))) for row in rows] == labels
+    one_d = _walk_distribution("phi_plus", "hadamard_n", "s_ec", 1)
+    _check_api(one_d, [-1, 1], [0.5, 0.5])
+    assert one_d[0] == 0.0
+
+
+def test_distribution_from_the_engine_far_past_int64():
+    d = _walk_distribution("phi_plus", "hadamard_n", "s_ec", 1, start=HUGE)
+    _check_api(d, [HUGE - 1, HUGE + 1], [0.5, 0.5])
+    near = _walk_distribution("ghz3", "hadamard_n", "s_2d", 3)
+    far = _walk_distribution("ghz3", "hadamard_n", "s_2d", 3, start=(HUGE, -HUGE))
+    _check_api(far, [(x + HUGE, y - HUGE) for x, y in near.support()], near.values.tolist())
+
+
+def test_distribution_from_the_classical_walk_keeps_its_api():
+    from entwalk.classical import (
+        JointCoinDistribution,
+        binomial_walk_distribution,
+        correlated_walk_distribution,
+    )
+
+    _check_api(binomial_walk_distribution(2, 0.5), [-2, 0, 2], [0.25, 0.5, 0.25])
+    pair = JointCoinDistribution.from_correlation(0.5)
+    unit = correlated_walk_distribution(3, pair)
+    for step in (10**6, HUGE):  # 10**6-site moves, and moves past int64
+        scaled = correlated_walk_distribution(3, pair, {"hh": step, "ht": 0, "th": 0, "tt": -step})
+        _check_api(scaled, [k * step for k in unit.support()], unit.values.tolist())
+
+
+def test_distribution_from_a_mapping_keeps_its_order_and_labels():
+    d = Distribution({2: 0.25, np.int64(-2): 0.25, 0: 0.5})
+    assert list(d.probs) == [2, -2, 0]  # the mapping's order
+    assert all(type(k) is int for k in d.probs)
+    assert d.support() == [-2, 0, 2]
+    assert d.items_sorted() == [(-2, 0.25), (0, 0.5), (2, 0.25)]
+    assert d.origin == (-2,) and d.offsets[0].tolist() == [0, 2, 4] and d.values.tolist() == [0.25, 0.5, 0.25]
+    wide = Distribution({HUGE: 0.5, -HUGE: 0.5})
+    assert wide.support() == [-HUGE, HUGE] and wide.offsets[0].tolist() == [0, 2 * HUGE]
+    pairs = Distribution({(1, 0): 0.5, (0, 1): 0.5})
+    assert pairs.origin == (0, 0) and [off.tolist() for off in pairs.offsets] == [[0, 1], [1, 0]]
+    built = Distribution(origin=(0,), offsets=(np.array([0]),), values=np.array([1.0]))
+    assert Distribution({0: 1.0}) == built
+    with pytest.raises(ValueError, match=r"invalid probability -0\.5 at \(0, 1\)"):
+        Distribution(
+            origin=(0, 0), offsets=(np.array([0, 0]), np.array([0, 1])), values=np.array([1.5, -0.5])
+        )
+    with pytest.raises(ValueError, match="sum"):
+        Distribution(origin=(0,), offsets=(np.array([0]),), values=np.array([0.5]))

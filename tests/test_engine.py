@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from entwalk import engine
 from entwalk.coins import COIN_PRESETS, build_coin_operator, build_initial_coin
 from entwalk.core import CoinState, SiteAmplitudes, WalkState, state_norm
 from entwalk.engine import (
@@ -237,7 +238,7 @@ def test_psi_minus_support_stays_exactly_at_the_origin(op):
 def test_kept_states_are_unchanged_by_later_steps():
     cfg = make_config("inui_konno", "y_n", "s_ec_prime", 10)
     # without a workspace, and with one that every step reuses
-    for scratch in (None, np.empty(_walk_cost(cfg)[0], dtype=complex)):
+    for scratch in (None, np.empty(2 * _walk_cost(cfg)[0], dtype=complex)):
         state = initial_state(cfg)
         for _ in range(4):
             state = step(state, cfg.coin_op, cfg.shift, scratch=scratch)
@@ -402,8 +403,15 @@ def test_real_state_under_a_complex_operator_is_promoted():
         step(evolve(cfg), y, cfg.shift, scratch=np.empty(_walk_cost(cfg)[0]))
 
 
-def test_real_walk_peak_memory_is_about_three_real_windows():
-    # the scratch, the last state's window and the grown one, each in float64
+def _workspace_bytes(cfg, itemsize=8):
+    # the two coin blocks that evolve allocates for cfg
+    window = _walk_cost(cfg)[0]
+    row = window // (1 + cfg.steps * cfg.shift._layout.span[0])
+    return 2 * min(window, engine._BLOCK_AMPLITUDES + row) * itemsize
+
+
+def test_real_walk_peak_memory_is_two_windows_and_a_workspace():
+    # the last state's window, the grown one and the coin's two blocks, in float64
     cfg = make_config("ghz3", "hadamard_n", "s_2d", 50)
     tracemalloc.start()
     try:
@@ -411,7 +419,87 @@ def test_real_walk_peak_memory_is_about_three_real_windows():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * state.amplitudes.window.size * np.dtype(np.float64).itemsize
+    window = state.amplitudes.window.nbytes
+    assert _workspace_bytes(cfg) < 0.9 * window
+    assert peak < 2 * window + _workspace_bytes(cfg) + 2**16
+
+
+def test_a_step_holds_two_windows_and_a_bounded_workspace():
+    # ghz3/s_2d N=100: the window (8 x 201 x 201 float64) is ~2.6 MB, the
+    # workspace two blocks of 2**15 amplitudes plus a row, ~0.5 MB
+    cfg = make_config("ghz3", "hadamard_n", "s_2d", 99)
+    state = evolve(cfg)
+    tracemalloc.start()
+    try:
+        grown = step(state, cfg.coin_op, cfg.shift)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    window = grown.amplitudes.window
+    row = window[:, 0].size
+    workspace = 2 * (engine._BLOCK_AMPLITUDES + row) * window.itemsize
+    # the state's window was allocated before tracing began
+    assert peak < window.nbytes + workspace + 2**16
+    assert workspace < window.nbytes / 4
+
+
+def test_readout_gathers_only_the_occupied_sites():
+    state = evolve(make_config("ghz3", "hadamard_n", "s_2d", 100))
+    window = state.amplitudes.window
+    tracemalloc.start()
+    try:
+        d = position_distribution(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sites = len(d.values)
+    assert sites < window[0].size * 0.6  # the diamond fills about half its box
+    # the occupancy mask and its temporary, the gathered coin rows, their
+    # sums and the label offsets: under one window
+    assert peak < window[0].size * (window.shape[0] + 1) + sites * (window.shape[0] + 4) * 8 + 2**16
+    assert peak < window.nbytes
+
+
+def _block_cases():
+    return [
+        ("phi_plus", "hadamard_n", "s_ec", 60),  # 1D float64
+        ("inui_konno", "y_n", "s_ec_prime", 60),  # 1D complex128
+        ("psi_minus", "y_n", "s_ec", 40),  # exact cancellations: zero signs
+        ("ghz3", "hadamard_n", "s_2d", 20),  # 2D float64
+        ("ghz3", "y_n", "s_2d", 20),  # 2D complex128
+        ("ghz3", "hadamard_n", "s_3b", 30),
+    ]
+
+
+@pytest.mark.parametrize("combo", _block_cases(), ids=lambda c: "-".join(map(str, c)))
+def test_blocked_steps_have_the_bits_of_one_block_steps(monkeypatch, combo):
+    cfg = make_config(*combo)
+    windows = {}
+    for name, block, sites in [("one", 2**40, 2**40), ("blocked", 64, 2**40), ("unbuffered", 96, 1)]:
+        # 64 and 96 amplitudes: many blocks of a few rows each, block edges
+        # everywhere; an unbuffered coin from the first site on
+        monkeypatch.setattr(engine, "_BLOCK_AMPLITUDES", block)
+        monkeypatch.setattr(engine, "_UNBUFFERED_SITES", sites)
+        state = initial_state(cfg)
+        seen = []
+        for _ in range(cfg.steps):
+            state = step(state, cfg.coin_op, cfg.shift)
+            window = state.amplitudes.window
+            seen.append((state.amplitudes.origin, window.dtype, window.tobytes()))
+        assert evolve(cfg).amplitudes.window.tobytes() == seen[-1][2]
+        windows[name] = seen
+    assert windows["blocked"] == windows["one"]
+    assert windows["unbuffered"] == windows["one"]
+    assert np.getbufsize() == 8192
+
+
+def test_step_refuses_a_workspace_too_small_for_two_blocks():
+    cfg = make_config("ghz3", "hadamard_n", "s_2d", 3)
+    state = evolve(cfg)
+    need = 2 * state.amplitudes.window.size
+    with pytest.raises(ValueError, match="scratch"):
+        step(state, cfg.coin_op, cfg.shift, scratch=np.empty(need - 1))
+    step(state, cfg.coin_op, cfg.shift, scratch=np.empty(need))
 
 
 def test_bell_walk_symmetric_at_100_steps():
