@@ -3,9 +3,12 @@ coefficient of a pair of coins, and the exact walk driven by a correlated
 coin pair (the binomial walk is the maximally correlated one).
 
 Outcomes of a coin-pair toss are keyed "hh", "ht", "th", "tt" (first symbol
-is coin 1).  The move map assigns an integer displacement to each outcome;
-the default moves on double heads / double tails and rests on mixed
-outcomes, mirroring the rest-site structure of the entangled-coin shift.
+is coin 1).  The moves are a 1D displacement table over a 2-qubit register,
+one displacement per outcome in that order, as a quantum walk's shift holds
+one per coin basis state (h = 0, t = 1).  The default moves are the
+entangled-coin shift ``s_ec``: +1 on double heads, -1 on double tails and a
+rest on mixed outcomes.  Both walks share the table's lattice layout and
+the cost rule of :mod:`entwalk.shifts`.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Distribution
+from .shifts import DisplacementTable, _window_cost, build_shift
 
 __all__ = [
     "DEFAULT_MOVES",
@@ -29,19 +33,18 @@ __all__ = [
 
 OUTCOMES = ("hh", "ht", "th", "tt")
 
-DEFAULT_MOVES = {"hh": 1, "ht": 0, "th": 0, "tt": -1}
+DEFAULT_MOVES = build_shift("s_ec")
 
 _SUM_TOL = 1e-12
 
 MAX_WINDOW_SITES = 10_000_000  # window cap; at most three float64 arrays this long are live
 
-# Time cap on n steps over the full window: about 1.1-2 ns per counted site
-# update on one 2-vCPU host (numpy 2.4.6), so two to three minutes of summing.
-MAX_WINDOW_UPDATES = 10**11
-
-# Site updates that one step's fixed cost is worth (~3.5 us a step), so a
-# walk whose window never grows is capped too.
-_STEP_OVERHEAD = 4096
+# Time cap on the sites the steps write, summed over the steps, plus
+# shifts._STEP_OVERHEAD a step.  On one 2-vCPU host (numpy 2.4.6) a counted
+# update took 1.3-2.4 ns on windows of 4*10**4 sites and 4.3 ns on 4*10**5,
+# so the largest walk the cap takes, 221567 steps of the default moves at
+# rho = 0.5, ran 215 s: no longer than the largest under the earlier count.
+MAX_WINDOW_UPDATES = 5 * 10**10
 
 
 @dataclass(frozen=True)
@@ -116,58 +119,58 @@ def correlation(j: JointCoinDistribution) -> float:
     return cov / math.sqrt(var1 * var2)
 
 
-def _read_moves(moves: dict) -> tuple[int, ...]:
-    missing = [o for o in OUTCOMES if o not in moves]
-    if missing:
-        raise ValueError(f"move map must cover all four outcomes, missing {missing}")
-    return tuple(int(moves[o]) for o in OUTCOMES)
-
-
-def check_walk_cost(n: int, moves: dict = DEFAULT_MOVES) -> tuple[int, int, int]:
+def check_walk_cost(n: int, moves: DisplacementTable = DEFAULT_MOVES) -> tuple[int, int]:
     """Refuse an n-step correlated-pair walk that its window cannot hold.
 
-    The walk's window covers the sites ``n*lo + g*i``, 0 <= i <= n*span
-    (``lo``: smallest move, ``g``: gcd of the moves' offsets from ``lo``,
-    ``span``: range of the moves over ``g``).  Returns ``(lo, g, span)``.
+    The walk's window covers the sites ``n*lo + g*i``, 0 <= i <= n*span/g,
+    with ``lo``, ``g`` and ``span`` from the moves' lattice layout: the
+    smallest move, the gcd of the moves' offsets from it, and their range.
+    Returns the final window's sites and the walk's work: the sites each
+    step writes, summed over the steps, plus a fixed cost per step.
 
     Raises
     ------
     ValueError
-        A negative n, a move map missing an outcome, a window above
-        ``MAX_WINDOW_SITES`` sites, or n steps over the window (plus a fixed
-        cost per step) above ``MAX_WINDOW_UPDATES`` site updates.
+        A negative n, moves that are not a 1D table over 2 qubits, a window
+        above ``MAX_WINDOW_SITES`` sites, or work above
+        ``MAX_WINDOW_UPDATES`` site updates.
     """
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
-    step_moves = _read_moves(moves)
-    lo = min(step_moves)
-    g = math.gcd(*(d - lo for d in step_moves)) or 1
-    span = (max(step_moves) - lo) // g
-    if n * span + 1 > MAX_WINDOW_SITES:
-        raise ValueError(f"window of {n * span + 1} sites exceeds {MAX_WINDOW_SITES=}")
-    if n * (n * span + 1 + _STEP_OVERHEAD) > MAX_WINDOW_UPDATES:
+    if (moves.dims, moves.qubits) != (1, 2):
         raise ValueError(
-            f"{n} steps over a window of {n * span + 1} sites exceed {MAX_WINDOW_UPDATES=}"
+            f"moves must be a 1D table over 2 qubits, one move per outcome {OUTCOMES}, "
+            f"got a {moves.dims}D table over {moves.qubits} qubit(s)"
         )
-    return lo, g, span
+    (g,), (span,) = moves._layout.g, moves._layout.span
+    sites, work = _window_cost(n, (span // g,))
+    if sites > MAX_WINDOW_SITES:
+        raise ValueError(f"window of {sites} sites exceeds {MAX_WINDOW_SITES=}")
+    if work > MAX_WINDOW_UPDATES:
+        raise ValueError(f"{n} steps need {work} site updates, over {MAX_WINDOW_UPDATES=}")
+    return sites, work
 
 
 def correlated_walk_distribution(
-    n: int, j: JointCoinDistribution, moves: dict = DEFAULT_MOVES
+    n: int, j: JointCoinDistribution, moves: DisplacementTable = DEFAULT_MOVES
 ) -> Distribution:
     """Exact n-step distribution of the walk driven by a correlated pair.
 
-    Sums the walk on the float64 window of :func:`check_walk_cost`, which
-    refuses it before allocation when it is over a cap, by one weighted
-    slice add per displacement and step; these direct sums keep unreachable
-    sites exactly 0.  The support is the positions with probability > 0.
+    ``moves`` holds one displacement per outcome, in OUTCOMES order (see
+    :func:`check_walk_cost`).  Sums the walk on the float64 window of
+    :func:`check_walk_cost`, which refuses it before allocation when it is
+    over a cap, by one weighted slice add per displacement and step; these
+    direct sums keep unreachable sites exactly 0.  The support is the
+    positions with probability > 0; the distribution's lattice step is g.
     """
-    lo, g, span = check_walk_cost(n, moves)
+    size, _ = check_walk_cost(n, moves)
+    (lo,), (g,), (span,), offsets = moves._layout
+    span //= g
     step: dict[int, float] = {}  # window offset -> probability, offsets ascending
-    for d, prob in sorted(zip(_read_moves(moves), j.outcome_probs())):
+    for (d,), prob in sorted(zip(offsets, j.outcome_probs())):
         if prob > 0.0:
-            step[(d - lo) // g] = step.get((d - lo) // g, 0.0) + prob
-    current, nxt = np.zeros(n * span + 1), np.empty(n * span + 1)
+            step[d // g] = step.get(d // g, 0.0) + prob
+    current, nxt = np.zeros(size), np.empty(size)
     current[0] = 1.0
     for t in range(n):
         width = t * span + 1  # window sites in use after t steps
@@ -177,8 +180,4 @@ def correlated_walk_distribution(
             target += current[:width] * w
         current, nxt = nxt, current
     support = (current > 0.0).nonzero()[0]
-    # Labels n*lo + g*i, exact: past int64, the offsets are Python ints.
-    offsets = support
-    if g > 1:
-        offsets = support * g if g * n * span < 2**63 else support.astype(object) * g
-    return Distribution(origin=(n * lo,), offsets=(offsets,), values=current[support])
+    return Distribution(origin=(n * lo,), step=(g,), offsets=(support,), values=current[support])

@@ -58,7 +58,7 @@ from .coins import build_coin_operator, build_initial_coin, entanglement_entropy
 from .core import CoinState, Distribution, state_norm
 from .engine import WalkConfig, evolve, position_distribution
 from .engine import check_walk_cost as check_quantum_walk_cost
-from .shifts import build_shift
+from .shifts import DisplacementTable, build_shift
 
 __all__ = [
     "EXIT_IO",
@@ -99,7 +99,7 @@ class ClassicalParams:
     n: int = 100
     p: float = 0.5
     rho: float = 1.0
-    moves: dict = field(default_factory=lambda: dict(DEFAULT_MOVES))
+    moves: DisplacementTable = DEFAULT_MOVES
     # Built, and so checked, with the params: the model's coin pair.
     pair: JointCoinDistribution | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -205,28 +205,27 @@ def _rows(labels, values, sep: str):
         yield text
 
 
-def _column(array: np.ndarray, origin: int = 0):
-    # The entries of an array as Python numbers, each plus ``origin``,
-    # converted one _BLOCK_ROWS block at a time.
+def _column(array: np.ndarray):
+    # The entries of an array as Python numbers, converted one _BLOCK_ROWS
+    # block at a time.
     for start in range(0, len(array), _BLOCK_ROWS):
-        block = array[start:start + _BLOCK_ROWS].tolist()
-        yield from map(origin.__add__, block) if origin else block
+        yield from array[start:start + _BLOCK_ROWS].tolist()
 
 
 def _box_rows(dist: Distribution):
-    # gnuplot positions: every grid point of the support's bounding box,
-    # zeros included, with a blank line after each x block in 2D.  Only the
-    # offsets from the box corner index the zero-filled grid; labels are
-    # printed as exact Python ints.
+    # gnuplot positions: every point of the distribution's lattice in its
+    # support's bounding box, zeros included, with a blank line after each x
+    # block in 2D.  Only the offsets from the box corner index the
+    # zero-filled grid; the distribution labels the grid's offsets.
     corner = [int(off.min()) for off in dist.offsets]
     grid = np.zeros([int(off.max()) - c + 1 for off, c in zip(dist.offsets, corner)])
     grid[tuple(off - c for off, c in zip(dist.offsets, corner))] = dist.values
-    first = [o + c for o, c in zip(dist.origin, corner)]
+    labels = dist.labels([range(c, c + size) for c, size in zip(corner, grid.shape)])
     if grid.ndim == 1:
-        yield from _rows([range(first[0], first[0] + len(grid))], [_column(grid)], " ")
+        yield from _rows(labels, [_column(grid)], " ")
         return
-    heads = [f" {y} " for y in range(first[1], first[1] + grid.shape[1])]
-    for x, block in enumerate(grid, start=first[0]):
+    heads = [f" {y} " for y in labels[1]]
+    for x, block in zip(labels[0], grid):
         yield "".join([f"{x}{head}{_format_prob(p)}\n" for head, p in zip(heads, block.tolist())]) + "\n"
 
 
@@ -286,7 +285,7 @@ def emit_distribution(
     """
     if output_format not in OUTPUT_FORMATS:
         raise ValidationError(f"unknown output format {output_format!r}")
-    labels = [_column(off, o) for o, off in zip(dist.origin, dist.offsets)]
+    labels = dist.labels([_column(off) for off in dist.offsets])
     if len(labels) == 2:
         first = "position_x" if output_format == "gnuplot" else "position"
         header = [first, "position_y", "probability"]
@@ -352,7 +351,7 @@ def _parse_shift_table(text: str, where: str):
         raise ParseError(f"{where}: expected integers, got {text!r}") from None
 
 
-def _parse_moves(text: str, where: str) -> dict:
+def _parse_moves(text: str, where: str) -> DisplacementTable:
     moves = {}
     for tok in text.replace(",", " ").split():
         if ":" not in tok:
@@ -366,7 +365,10 @@ def _parse_moves(text: str, where: str) -> dict:
             moves[key] = int(val)
         except ValueError:
             raise ParseError(f"{where}: non-integer displacement {val!r}") from None
-    return moves
+    missing = [o for o in OUTCOMES if o not in moves]
+    if missing:
+        raise ValidationError(f"{where}: every outcome needs a move, missing {missing}")
+    return DisplacementTable(dims=1, qubits=2, table=tuple((moves[o],) for o in OUTCOMES))
 
 
 def _parse_int_list(text: str, where: str) -> tuple[int, ...]:

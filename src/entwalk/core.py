@@ -1,7 +1,8 @@
 """Shared containers for coin states, coin operators, joint walk states and
 probability distributions.  A joint walk state is one dense window over a
 box of the lattice, held coin-major: one contiguous plane of the box per
-coin basis state.
+coin basis state.  A probability distribution holds its support as arrays
+of window indices, labeled on the walk's lattice as origin + step * index.
 
 Coin states and operators hold ``complex128``.  A walk window is
 ``complex128`` too, except that a walk whose every amplitude is real runs
@@ -20,7 +21,6 @@ import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -284,62 +284,46 @@ class Distribution:
     Labels are ints for 1D positions and coin indices, ``(x, y)`` tuples for
     2D positions.  Entries must be nonnegative and sum to 1 within 1e-10.
 
-    Built from a mapping ``Distribution({label: probability})``, or, as the
-    walks build it, from a support held as arrays: ``Distribution(origin=...,
-    offsets=..., values=...)``.  Either way the instance holds its sorted
-    support as ``origin``, one Python int per axis; ``offsets``, one integer
-    array per axis, its rows in ascending (in 2D lexicographic) order; and
-    ``values``, the float64 probabilities of those rows.  Row k's label is
-    ``origin[a] + offsets[a][k]`` on each axis a, exact at any size.  The
-    ``probs`` dict is built when something first reads it; a mapping-built
-    distribution keeps the mapping's order there.
+    The walks build one from their support held as arrays,
+    ``Distribution(origin=..., offsets=..., values=..., step=...)``: per
+    axis, ``origin``, a Python int; ``step``, the Python-int lattice step of
+    the walk's window (1 when omitted); and ``offsets``, an integer array of
+    window indices; the rows are in ascending (in 2D lexicographic) order,
+    and ``values`` holds their float64 probabilities.  Row k's label is
+    ``origin[a] + step[a] * offsets[a][k]`` on each axis a, computed only by
+    :meth:`labels`, exact in Python ints at any size.  The ``probs`` dict is
+    built when something first reads it.
     """
 
-    __slots__ = ("origin", "offsets", "values", "_probs")
+    __slots__ = ("origin", "step", "offsets", "values", "_probs")
 
-    def __init__(self, probs=None, *, origin=(), offsets=(), values=None):
+    def __init__(self, *, origin, offsets, values, step=None):
         self._probs = None
-        if probs is None:
-            self.origin, self.offsets = tuple(origin), tuple(offsets)
-            self.values = np.asarray(values, dtype=np.float64)
-            self._check(self.values, self._label)
-            return
-        labels = list(probs)
-        kinds = set(map(type, labels))
-        if kinds == {tuple}:
-            kinds = set(map(type, chain.from_iterable(labels)))
-        if not kinds <= {int}:
-            labels = [tuple(map(int, x)) if isinstance(x, (tuple, list)) else int(x) for x in labels]
-        values = np.array(list(map(float, probs.values())), dtype=np.float64)
-        self._check(values, labels.__getitem__)
-        self._probs = dict(zip(labels, values.tolist()))
-        order = sorted(range(len(labels)), key=labels.__getitem__)
-        rows = [labels[k] for k in order]
-        axes = list(zip(*rows, strict=True)) if isinstance(rows[0], tuple) else [rows]
-        self.origin = tuple(min(axis) for axis in axes)
-        self.offsets = tuple(np.array([x - o for x in axis]) for axis, o in zip(axes, self.origin))
-        self.values = values[order]
-
-    def _label(self, k: int):
-        label = tuple(o + int(off[k]) for o, off in zip(self.origin, self.offsets))
-        return label[0] if len(label) == 1 else label
-
-    @staticmethod
-    def _check(values: np.ndarray, label) -> None:
-        total = float(np.add.reduce(values))
-        if not (math.isfinite(total) and values.min(initial=0.0) >= 0.0):
-            valid = (values >= 0.0) & (values < math.inf)  # NaN fails both
+        self.origin, self.offsets = tuple(origin), tuple(offsets)
+        self.step = (1,) * len(self.origin) if step is None else tuple(step)
+        self.values = np.asarray(values, dtype=np.float64)
+        total = float(np.add.reduce(self.values))
+        if not (math.isfinite(total) and self.values.min(initial=0.0) >= 0.0):
+            valid = (self.values >= 0.0) & (self.values < math.inf)  # NaN fails both
             if not valid.all():
                 k = int(np.argmin(valid))
-                raise ValueError(f"invalid probability {float(values[k])!r} at {label(k)!r}")
+                label = tuple(next(axis) for axis in self.labels([[int(off[k])] for off in self.offsets]))
+                label = label[0] if len(label) == 1 else label
+                raise ValueError(f"invalid probability {float(self.values[k])!r} at {label!r}")
         if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
+
+    def labels(self, offsets) -> list:
+        """Per axis, the labels of an iterable of Python-int offsets:
+        ``origin + step * offset``, as a lazy iterator of Python ints."""
+        return [map(o.__add__, off if s == 1 else map(s.__mul__, off))
+                for o, s, off in zip(self.origin, self.step, offsets)]
 
     @property
     def probs(self) -> dict:
         """``{label: probability}`` over the support."""
         if self._probs is None:
-            axes = [[o + i for i in off.tolist()] for o, off in zip(self.origin, self.offsets)]
+            axes = self.labels([off.tolist() for off in self.offsets])
             labels = axes[0] if len(axes) == 1 else zip(*axes)
             self._probs = dict(zip(labels, self.values.tolist()))
         return self._probs

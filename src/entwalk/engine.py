@@ -28,7 +28,7 @@ from .core import (
     SiteAmplitudes,
     WalkState,
 )
-from .shifts import DisplacementTable, _shift_amplitudes, _shifted_shape
+from .shifts import DisplacementTable, _shift_amplitudes, _shifted_shape, _window_cost
 
 __all__ = [
     "MAX_WALK_WORK",
@@ -42,15 +42,10 @@ __all__ = [
 
 # Cap on a walk's amplitude updates, summed over its steps: about 100-170
 # million a second on float64 windows and 45-90 million on complex128 ones
-# (one 2-vCPU host, numpy 2.4.6), so one to four minutes of stepping.
+# (one 2-vCPU host, numpy 2.4.6), so one to four minutes of stepping.  With
+# shifts._STEP_OVERHEAD charged a step, it stops a walk whose window never
+# grows at ~2.4 million steps, under a minute and a half.
 MAX_WALK_WORK = 10**10
-
-# Amplitude updates charged for one step's fixed cost, so a walk whose window
-# never grows is capped too.  A one-site step takes ~18-25 us with a 2-qubit
-# coin and ~32-34 us with a 3-qubit one on that host, the time of ~1600-3800
-# updates at the rates above; so the cap stops such a walk at ~2.4 million
-# steps, under a minute and a half.
-_STEP_OVERHEAD = 4096
 
 # Amplitudes in one block of a step's coin: the coin runs block by block
 # over rows of the window, so a step holds two windows and a workspace of
@@ -215,12 +210,7 @@ def step(
 
 def _walk_cost(cfg: WalkConfig) -> tuple[int, int]:
     """Amplitudes in the final window, and the walk's work in amplitude updates."""
-    n, dim = cfg.steps, cfg.coin_op.dim
-    r = [*cfg.shift._layout.span, 0]
-    # Step t writes a window of prod_a (1 + t r_a) sites; sum it over t = 1..n.
-    s1, s2 = n * (n + 1) // 2, n * (n + 1) * (2 * n + 1) // 6
-    sites = n + (r[0] + r[1]) * s1 + r[0] * r[1] * s2
-    return dim * math.prod(1 + n * x for x in r), dim * sites + n * _STEP_OVERHEAD
+    return _window_cost(cfg.steps, cfg.shift._layout.span, cfg.coin_op.dim)
 
 
 def check_walk_cost(cfg: WalkConfig) -> int:

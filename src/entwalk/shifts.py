@@ -12,6 +12,7 @@ of rows at a time.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -49,12 +50,23 @@ SHIFT_PRESETS: dict[str, tuple[tuple[int, ...], ...]] = {
 }
 
 
+# Updates charged for one step's fixed cost, so a walk whose window never
+# grows is capped too.  On one 2-vCPU host (numpy 2.4.6) a one-site quantum
+# step takes ~18-25 us with a 2-qubit coin and ~32-34 us with a 3-qubit one,
+# the time of ~1600-3800 amplitude updates (engine.MAX_WALK_WORK); a
+# classical step on a one-site window takes ~2.2-3 us.
+_STEP_OVERHEAD = 4096
+
+
 class _Layout(NamedTuple):
     # How a shift by one table moves a window.  Per axis: ``lo``, the
-    # smallest displacement, which moves the window's origin, and ``span``,
-    # the range of displacements, which grows the window.  Per coin state:
-    # ``offsets``, its displacement minus ``lo``, where its plane lands.
+    # smallest displacement, which moves the window's origin; ``g``, the gcd
+    # of the displacements' offsets from ``lo`` (1 when they are all equal),
+    # the step of the lattice they reach; and ``span``, the range of
+    # displacements, which grows the window.  Per coin state: ``offsets``,
+    # its displacement minus ``lo``, where its plane lands.
     lo: tuple[int, ...]
+    g: tuple[int, ...]
     span: tuple[int, ...]
     offsets: tuple[tuple[int, ...], ...]
 
@@ -89,8 +101,21 @@ class DisplacementTable:
     def _layout(self) -> _Layout:
         axes = list(zip(*self.table))
         lo = tuple(map(min, axes))
+        g = tuple(math.gcd(*(d - low for d in axis)) or 1 for axis, low in zip(axes, lo))
         span = tuple(max(axis) - low for axis, low in zip(axes, lo))
-        return _Layout(lo, span, tuple(tuple(map(operator.sub, row, lo)) for row in self.table))
+        return _Layout(lo, g, span, tuple(tuple(map(operator.sub, row, lo)) for row in self.table))
+
+
+def _window_cost(n: int, growth: tuple[int, ...], per_site: int = 1) -> tuple[int, int]:
+    # The cost of an n-step walk whose window starts as one site and grows by
+    # ``growth[a]`` sites a step along axis a: ``per_site`` times the sites
+    # of its final window, and its work, ``per_site`` times the sites each
+    # step writes, prod_a (1 + t growth_a) at step t, summed over t = 1..n,
+    # plus _STEP_OVERHEAD a step.
+    r = [*growth, 0]
+    s1, s2 = n * (n + 1) // 2, n * (n + 1) * (2 * n + 1) // 6
+    sites = n + (r[0] + r[1]) * s1 + r[0] * r[1] * s2
+    return per_site * math.prod(1 + n * x for x in growth), per_site * sites + n * _STEP_OVERHEAD
 
 
 def build_shift(preset: str, custom_table=None) -> DisplacementTable:

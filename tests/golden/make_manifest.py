@@ -6,7 +6,8 @@ Each config runs once per output format (csv, json, gnuplot) through
 what the paper compares: the Bell coin under both operators and both 1D
 shifts, the GHZ coin on ``s_3a``, ``s_3b`` and ``s_2d``, the theta0/theta1
 coins, the single Hadamard coin, the maximally correlated (binomial) and
-``rho`` classical walks, and the compare and entropy tables.
+``rho`` classical walks, a ``rho`` walk on moves of step 3 (its gnuplot box
+steps by 3), and the compare and entropy tables.
 
 A change that moves a printed byte regenerates the manifest and says so::
 
@@ -54,6 +55,8 @@ CONFIGS = {
     "single_s_single": _quantum("single_hadamard_bias", "hadamard_n", "s_single", 100),
     "classical_binomial": "[experiment]\nmode = classical\n[classical]\nmodel = binomial\nn = 100\np = 0.5\n",
     "classical_rho": "[experiment]\nmode = classical\n[classical]\nmodel = correlated\nn = 100\nrho = 0.5\n",
+    "classical_commensurate": "[experiment]\nmode = classical\n[classical]\nmodel = correlated\nn = 50\n"
+                             "rho = 0.5\nmoves = hh:3 ht:0 th:0 tt:-3\n",
     "compare_full": "[experiment]\nmode = compare\nsteps = 60\n[classical]\nn = 60\n",
     "compare_positions": "[experiment]\nmode = compare\nsteps = 100\npositions = 40 50 60 70\n",
     "entropy_theta1": "[experiment]\nmode = entropy\ncoin = theta1\n",

@@ -8,16 +8,24 @@ from hypothesis import strategies as st
 from entwalk.classical import (
     DEFAULT_MOVES,
     MAX_WINDOW_SITES,
+    OUTCOMES,
     JointCoinDistribution,
     binomial_walk_distribution,
+    check_walk_cost,
     correlated_walk_distribution,
     correlation,
 )
+from entwalk.shifts import _STEP_OVERHEAD, DisplacementTable, build_shift
 from oracles import enumerated_endpoint_distribution, exact_binomial_walk
 
 FAIR_CORRELATED = JointCoinDistribution.from_correlation(1.0)
 FAIR_INDEPENDENT = JointCoinDistribution(0.25, 0.25, 0.25, 0.25)
 FAIR_ANTICORRELATED = JointCoinDistribution(0.0, 0.5, 0.5, 0.0)
+
+
+def moves(hh, ht, th, tt):
+    # a move per outcome, in OUTCOMES order, as the 2-qubit 1D table the walk takes
+    return build_shift("custom", [hh, ht, th, tt])
 
 
 def test_joint_distribution_validates():
@@ -152,9 +160,12 @@ def test_correlated_walk_zero_steps():
     assert d[0] == 1.0
 
 
+def test_default_moves_are_the_entangled_coin_shift():
+    assert DEFAULT_MOVES == build_shift("s_ec") == moves(1, 0, 0, -1)
+
+
 def test_correlated_walk_two_steps_independent_fair():
-    moves = {"hh": 1, "tt": -1, "ht": 0, "th": 0}
-    d = correlated_walk_distribution(2, FAIR_INDEPENDENT, moves)
+    d = correlated_walk_distribution(2, FAIR_INDEPENDENT, moves(1, 0, 0, -1))
     assert d[0] == pytest.approx(3 / 8, abs=1e-15)
     assert d[1] == pytest.approx(1 / 4, abs=1e-15)
     assert d[-1] == pytest.approx(1 / 4, abs=1e-15)
@@ -184,35 +195,48 @@ def test_correlated_walk_matches_enumeration(n, x, y):
     p_th = y * 0.5
     p_tt = (1.0 - y) * 0.5
     j = JointCoinDistribution(p_hh, p_ht, p_th, p_tt)
-    moves = {"hh": 2, "ht": 0, "th": -1, "tt": 1}
-    d = correlated_walk_distribution(n, j, moves)
+    move_map = {"hh": 2, "ht": 0, "th": -1, "tt": 1}
+    d = correlated_walk_distribution(n, j, moves(*(move_map[o] for o in OUTCOMES)))
     expected = enumerated_endpoint_distribution(
-        n, {"hh": p_hh, "ht": p_ht, "th": p_th, "tt": p_tt}, moves
+        n, {"hh": p_hh, "ht": p_ht, "th": p_th, "tt": p_tt}, move_map
     )
     for k, p in expected.items():
         assert d[k] == pytest.approx(p, abs=1e-12)
 
 
-def test_correlated_walk_requires_full_move_map():
-    with pytest.raises(ValueError, match="missing"):
-        correlated_walk_distribution(1, FAIR_INDEPENDENT, {"hh": 1})
+@pytest.mark.parametrize(
+    "table",
+    [
+        build_shift("s_single"),  # 1D, one qubit: two outcomes
+        build_shift("s_3a"),  # 1D, three qubits: eight outcomes
+        build_shift("s_2d"),  # 2D, three qubits
+        DisplacementTable(dims=2, qubits=2, table=((1, 0), (0, 0), (0, 0), (-1, 0))),  # 2D, two qubits
+    ],
+    ids=["1d-1q", "1d-3q", "2d-3q", "2d-2q"],
+)
+def test_correlated_walk_requires_a_1d_two_qubit_move_table(table):
+    with pytest.raises(ValueError, match="1D table over 2 qubits"):
+        correlated_walk_distribution(1, FAIR_INDEPENDENT, table)
+    with pytest.raises(ValueError, match="1D table over 2 qubits"):
+        check_walk_cost(1, table)
 
 
 def test_correlated_walk_scaled_moves_scale_positions():
     # the window follows the lattice of the moves, so huge but commensurate
     # moves cost no more than the default ones
     j = JointCoinDistribution.from_correlation(0.5)
-    big = {"hh": 10**6, "ht": 0, "th": 0, "tt": -(10**6)}
-    scaled = correlated_walk_distribution(100, j, big)
+    scaled = correlated_walk_distribution(100, j, moves(10**6, 0, 0, -(10**6)))
     unit = correlated_walk_distribution(100, j, DEFAULT_MOVES)
     assert scaled.probs == {k * 10**6: p for k, p in unit.probs.items()}
+    assert (scaled.origin, scaled.step) == ((-(10**8),), (10**6,))
+    assert scaled.offsets[0].tolist() == unit.offsets[0].tolist()
 
 
 @pytest.mark.parametrize(
     "n, moves",
     [
-        (100, {"hh": 10**9, "ht": 1, "th": 0, "tt": -1}),
-        (1, {"hh": MAX_WINDOW_SITES, "ht": 1, "th": 0, "tt": 0}),
+        (100, moves(10**9, 1, 0, -1)),
+        (1, moves(MAX_WINDOW_SITES, 1, 0, 0)),
     ],
 )
 def test_correlated_walk_refuses_window_over_cap(n, moves):
@@ -225,9 +249,46 @@ def test_correlated_walk_refuses_window_over_cap(n, moves):
     "n, moves",
     [
         (4_999_999, DEFAULT_MOVES),  # 10**7 - 1 sites: under the window cap
-        (10**8, {"hh": 0, "ht": 0, "th": 0, "tt": 0}),  # a one-site window
+        (10**8, moves(0, 0, 0, 0)),  # a one-site window
     ],
 )
 def test_correlated_walk_refuses_runs_over_the_time_cap(n, moves):
     with pytest.raises(ValueError, match="MAX_WINDOW_UPDATES"):
         correlated_walk_distribution(n, FAIR_INDEPENDENT, moves)
+
+
+@pytest.mark.parametrize(
+    "table, g",
+    [
+        (DEFAULT_MOVES, 1),
+        (moves(2, 1, 0, -1), 1),
+        (moves(6, 0, 3, -3), 3),
+        (moves(10**4, 0, 0, -(10**4)), 10**4),
+    ],
+)
+def test_classical_cost_counts_the_windows_the_steps_write(table, g):
+    # every outcome has weight, so after t steps the support fills the
+    # window the DP wrote at step t, from its first site to its last
+    pair = JointCoinDistribution.from_correlation(0.5)
+    n, written = 7, 0
+    for t in range(1, n + 1):
+        d = correlated_walk_distribution(t, pair, table)
+        assert d.step == (g,) and d.origin == (t * min(x for (x,) in table.table),)
+        assert d.offsets[0][0] == 0
+        written += int(d.offsets[0][-1]) + 1
+    assert check_walk_cost(n, table) == (int(d.offsets[0][-1]) + 1, written + n * _STEP_OVERHEAD)
+
+
+# The largest step counts under MAX_WINDOW_UPDATES = 5 * 10**10: n + n * _STEP_OVERHEAD
+# updates for a window that never grows, n + n * (n + 1) + n * _STEP_OVERHEAD for
+# the default moves (a window two sites wider each step).
+@pytest.mark.parametrize(
+    "table, largest",
+    [(moves(0, 0, 0, 0), 12_204_051), (moves(5, 5, 5, 5), 12_204_051), (DEFAULT_MOVES, 221_567)],
+    ids=["span0", "span0-offset", "span2"],
+)
+def test_work_cap_boundary(table, largest):
+    # checked only: these walks would run for half a minute to four minutes
+    assert check_walk_cost(largest, table)[1] <= 5 * 10**10
+    with pytest.raises(ValueError, match=f"{largest + 1} steps need .* site updates, over MAX_WINDOW_UPDATES"):
+        check_walk_cost(largest + 1, table)

@@ -107,8 +107,9 @@ def test_json_round_trip(tmp_path):
     assert doc["metadata"]["steps"] == 25
     assert doc["metadata"]["norm"] == pytest.approx(1.0, abs=1e-10)
     assert doc["config"]["experiment"]["coin"] == "phi_plus"
-    reloaded = Distribution({label: p for label, p in doc["distribution"]})
+    reloaded = {label: p for label, p in doc["distribution"]}
     direct = bell_distribution(25)
+    assert list(reloaded) == direct.support()
     for label in direct.support():
         assert reloaded[label] == pytest.approx(direct[label], rel=1e-12)
 
@@ -346,6 +347,32 @@ def test_classical_rows_have_positive_probability(tmp_path):
     assert run(cfg, quiet=True) == EXIT_OK
     probs = [p for _, p in json.loads(out.read_text())["distribution"]]
     assert probs and all(p > 0.0 for p in probs)
+
+
+@pytest.mark.parametrize("step", [10**4, 10**6])
+def test_classical_gnuplot_box_steps_by_the_moves_lattice(tmp_path, step):
+    # 101 occupied sites on a lattice of step g: the box holds the 201 lattice
+    # points from -100 g to 100 g, not every integer between them
+    out = tmp_path / "cls.dat"
+    cfg = write_config(
+        tmp_path,
+        f"[experiment]\nmode = classical\noutput_format = gnuplot\noutput = {out}\n"
+        f"[classical]\nmodel = correlated\nn = 100\nmoves = hh:{step}, ht:0, th:0, tt:-{step}\n",
+    )
+    assert run(cfg, quiet=True) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert len(lines) == 202
+    assert lines[:3] == ["# position probability", f"{-100 * step} 0", f"{-99 * step} 0"]
+    assert lines[100:103] == [f"{-step} 0", "0 0.0795892373872", f"{step} 0"]
+    assert lines[-1] == f"{100 * step} 0"
+
+
+def test_classical_moves_missing_an_outcome_is_a_validation_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[experiment]\nmode = classical\n[classical]\nmoves = hh:1 tt:-1\n")
+    assert run(cfg, quiet=True) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: validation: classical.moves: every outcome needs a move, missing ['ht', 'th']\n"
+    )
 
 
 def test_classical_window_over_cap_is_a_validation_error(tmp_path):
@@ -751,7 +778,7 @@ VALIDATION_ERRORS = {
         # a walk that never grows still pays each step's fixed cost
         "3000000 steps need 12300000000 amplitude updates, over MAX_WALK_WORK=10000000000",
     "[experiment]\nmode = entropy\ncoin = ghz3\n[classical]\nn = 4999999\n":  # time cap
-        "4999999 steps over a window of 9999999 sites exceed MAX_WINDOW_UPDATES=100000000000",
+        "4999999 steps need 25020479995903 site updates, over MAX_WINDOW_UPDATES=50000000000",
     # a missing mode wins over anything but an unknown experiment key
     "[experiment]\nsteps = abc\n[classical]\nbogus = 1\n": "experiment.mode is required",
     # the classical checks win over every experiment value
@@ -1145,14 +1172,17 @@ def test_a_usage_error_in_a_fresh_process_has_no_traceback():
     )
 
 
+ONE_SITE = Distribution(origin=(0,), offsets=(np.array([0]),), values=[1.0])
+
+
 def test_emit_distribution_rejects_unknown_format(tmp_path):
     with pytest.raises(ValidationError):
-        emit_distribution(Distribution({0: 1.0}), "yaml", str(tmp_path / "x"))
+        emit_distribution(ONE_SITE, "yaml", str(tmp_path / "x"))
 
 
 def test_emit_distribution_single_site(tmp_path):
     path = tmp_path / "one.csv"
-    emit_distribution(Distribution({0: 1.0}), "csv", str(path))
+    emit_distribution(ONE_SITE, "csv", str(path))
     assert path.read_text() == "position,probability\n0,1\n"
 
 

@@ -230,25 +230,42 @@ def test_state_norm_past_float64_range_is_inf():
     assert state_norm(site_state(1, 1, {(0,): [1e154, 1e154]})) == math.inf
 
 
+HUGE = 99999999999999999999999  # past int64: labels must stay Python ints
+
+
+def _line(origin, offsets, values, step=1):
+    return Distribution(origin=(origin,), step=(step,), offsets=(np.array(offsets),), values=values)
+
+
 def test_distribution_validates_sum_and_sign():
-    d = Distribution({-1: 0.5, 1: 0.5})
+    d = _line(-1, [0, 2], [0.5, 0.5])
     assert d[-1] == 0.5
     assert d[7] == 0.0
     with pytest.raises(ValueError, match="sum"):
-        Distribution({0: 0.5})
-    with pytest.raises(ValueError, match="probability"):
-        Distribution({0: 1.5, 1: -0.5})
+        _line(0, [0], [0.5])
+    with pytest.raises(ValueError, match=r"invalid probability -0\.5 at 1$"):
+        _line(0, [0, 1], [1.5, -0.5])
+    with pytest.raises(ValueError, match=r"invalid probability -0\.5 at 30$"):
+        _line(0, [0, 1], [1.5, -0.5], step=30)  # the label of a lattice step of 30
+    with pytest.raises(ValueError, match=r"invalid probability -0\.5 at \(0, 1\)"):
+        Distribution(
+            origin=(0, 0), offsets=(np.array([0, 0]), np.array([0, 1])), values=np.array([1.5, -0.5])
+        )
+    with pytest.raises(TypeError):
+        Distribution({0: 1.0})  # the mapping form is gone
 
 
-def test_distribution_sorts_labels():
-    d = Distribution({2: 0.25, -2: 0.25, 0: 0.5})
-    assert [k for k, _ in d.items_sorted()] == [-2, 0, 2]
-    d2 = Distribution({(1, 0): 0.5, (0, 1): 0.5})
-    assert d2.support() == [(0, 1), (1, 0)]
-    assert d2[(1, 0)] == 0.5
-
-
-HUGE = 99999999999999999999999  # past int64: labels must stay Python ints
+def test_distribution_labels_its_rows_on_its_lattice():
+    d = _line(-6, [0, 1, 2, 4], [0.25, 0.25, 0.25, 0.25], step=3)
+    assert d.support() == [-6, -3, 0, 6] and d[0] == 0.25 and d[3] == 0.0
+    assert [list(axis) for axis in d.labels([range(5)])] == [[-6, -3, 0, 3, 6]]
+    plane = Distribution(
+        origin=(0, HUGE), step=(1, HUGE), offsets=(np.array([0, 1]), np.array([1, 0])), values=[0.5, 0.5]
+    )
+    assert plane.support() == [(0, 2 * HUGE), (1, HUGE)]
+    assert plane[(1, HUGE)] == 0.5
+    # equal labels and probabilities make equal distributions, whatever the step
+    assert _line(-6, [0, 2], [0.5, 0.5], step=3) == _line(-6, [0, 6], [0.5, 0.5]) != _line(-6, [0, 2], [0.5, 0.5])
 
 
 def _walk_distribution(coin, op, shift, steps, start=None):
@@ -308,31 +325,11 @@ def test_distribution_from_the_classical_walk_keeps_its_api():
         binomial_walk_distribution,
         correlated_walk_distribution,
     )
+    from entwalk.shifts import build_shift
 
     _check_api(binomial_walk_distribution(2, 0.5), [-2, 0, 2], [0.25, 0.5, 0.25])
     pair = JointCoinDistribution.from_correlation(0.5)
     unit = correlated_walk_distribution(3, pair)
     for step in (10**6, HUGE):  # 10**6-site moves, and moves past int64
-        scaled = correlated_walk_distribution(3, pair, {"hh": step, "ht": 0, "th": 0, "tt": -step})
+        scaled = correlated_walk_distribution(3, pair, build_shift("custom", [step, 0, 0, -step]))
         _check_api(scaled, [k * step for k in unit.support()], unit.values.tolist())
-
-
-def test_distribution_from_a_mapping_keeps_its_order_and_labels():
-    d = Distribution({2: 0.25, np.int64(-2): 0.25, 0: 0.5})
-    assert list(d.probs) == [2, -2, 0]  # the mapping's order
-    assert all(type(k) is int for k in d.probs)
-    assert d.support() == [-2, 0, 2]
-    assert d.items_sorted() == [(-2, 0.25), (0, 0.5), (2, 0.25)]
-    assert d.origin == (-2,) and d.offsets[0].tolist() == [0, 2, 4] and d.values.tolist() == [0.25, 0.5, 0.25]
-    wide = Distribution({HUGE: 0.5, -HUGE: 0.5})
-    assert wide.support() == [-HUGE, HUGE] and wide.offsets[0].tolist() == [0, 2 * HUGE]
-    pairs = Distribution({(1, 0): 0.5, (0, 1): 0.5})
-    assert pairs.origin == (0, 0) and [off.tolist() for off in pairs.offsets] == [[0, 1], [1, 0]]
-    built = Distribution(origin=(0,), offsets=(np.array([0]),), values=np.array([1.0]))
-    assert Distribution({0: 1.0}) == built
-    with pytest.raises(ValueError, match=r"invalid probability -0\.5 at \(0, 1\)"):
-        Distribution(
-            origin=(0, 0), offsets=(np.array([0, 0]), np.array([0, 1])), values=np.array([1.5, -0.5])
-        )
-    with pytest.raises(ValueError, match="sum"):
-        Distribution(origin=(0,), offsets=(np.array([0]),), values=np.array([0.5]))

@@ -8,7 +8,6 @@ from entwalk import engine
 from entwalk.coins import COIN_PRESETS, build_coin_operator, build_initial_coin
 from entwalk.core import CoinState, SiteAmplitudes, WalkState, state_norm
 from entwalk.engine import (
-    _STEP_OVERHEAD,
     WalkConfig,
     _walk_cost,
     check_walk_cost,
@@ -17,7 +16,7 @@ from entwalk.engine import (
     position_distribution,
     step,
 )
-from entwalk.shifts import SHIFT_PRESETS, build_shift
+from entwalk.shifts import _STEP_OVERHEAD, SHIFT_PRESETS, build_shift
 from oracles import dense_evolve
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
