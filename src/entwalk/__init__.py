@@ -21,7 +21,7 @@ from .coins import (
     build_initial_coin,
     entanglement_entropy,
 )
-from .core import CoinOperator, CoinState, Distribution, WalkState, check_unitary, state_norm
+from .core import CoinOperator, CoinState, Distribution, WalkState, state_norm
 from .engine import WalkConfig, evolve, initial_state, position_distribution, step
 from .shifts import SHIFT_PRESETS, DisplacementTable, apply_shift, build_shift
 
@@ -42,7 +42,6 @@ __all__ = [
     "build_coin_operator",
     "build_initial_coin",
     "build_shift",
-    "check_unitary",
     "correlated_walk_distribution",
     "correlation",
     "entanglement_entropy",

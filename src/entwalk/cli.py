@@ -13,7 +13,8 @@ runs, and output files are renamed into place only after the last job
 succeeds, so a failing config, or a failing write, leaves no file.
 
 Exit codes: 0 success, 2 config parse error, 3 validation error (also out of
-memory or an arithmetic error), 4 I/O error.
+memory or an arithmetic error), 4 I/O error.  A key that its job's mode does
+not read, such as ``steps`` in entropy mode, exits 3 (see ``_SECTIONS``).
 
 Output formats:
 
@@ -392,32 +393,41 @@ def _scalar(kind):
     return parse
 
 
-# Section -> config key -> (config field, value parser).  A table names every
+# The modes that read a key.
+_COIN_MODES = ("quantum", "compare", "entropy")
+_WALK_MODES = ("quantum", "compare")
+_CLASSICAL_MODES = ("classical", "compare")
+
+# Section -> config key -> (config field, value parser, the modes that read
+# the key, the (key, value) it is read beside or None).  A table names every
 # key its section accepts and parses values in its order, which picks the
 # error a config with several bad values reports: an unknown experiment key,
-# a missing mode, the classical section, then the experiment values.
+# a missing mode, the classical section, then the experiment values.  A key
+# beside another value of its (key, value), given or by default, is refused
+# in every mode before its section's values are checked; a key that no job
+# reads is refused once every job is built (_assemble_jobs).
 _SECTIONS = {
     "experiment": {
-        "mode": ("mode", _parse_text),
-        "coin": ("coin", _parse_text),
-        "coin_amplitudes": ("coin_amplitudes", _parse_complex_pairs),
-        "coin_operator": ("coin_operator", _parse_text),
-        "coin_matrix": ("coin_matrix", _parse_matrix),
-        "shift": ("shift", _parse_text),
-        "shift_table": ("shift_table", _parse_shift_table),
-        "steps": ("steps", _scalar(int)),
-        "initial_position": ("initial_position", _parse_int_list),
-        "output_format": ("output_format", _parse_text),
-        "output": ("output_path", _parse_text),
-        "positions": ("positions", _parse_int_list),
-        "cut": ("cut", _scalar(int)),
+        "mode": ("mode", _parse_text, MODES, None),
+        "coin": ("coin", _parse_text, _COIN_MODES, None),
+        "coin_amplitudes": ("coin_amplitudes", _parse_complex_pairs, _COIN_MODES, ("coin", "custom")),
+        "coin_operator": ("coin_operator", _parse_text, _WALK_MODES, None),
+        "coin_matrix": ("coin_matrix", _parse_matrix, _WALK_MODES, ("coin_operator", "custom")),
+        "shift": ("shift", _parse_text, _WALK_MODES, None),
+        "shift_table": ("shift_table", _parse_shift_table, _WALK_MODES, ("shift", "custom")),
+        "steps": ("steps", _scalar(int), _WALK_MODES, None),
+        "initial_position": ("initial_position", _parse_int_list, _WALK_MODES, None),
+        "output_format": ("output_format", _parse_text, MODES, None),
+        "output": ("output_path", _parse_text, MODES, None),
+        "positions": ("positions", _parse_int_list, ("compare",), None),
+        "cut": ("cut", _scalar(int), ("entropy",), None),
     },
     "classical": {
-        "model": ("model", _parse_text),
-        "n": ("n", _scalar(int)),
-        "p": ("p", _scalar(float)),
-        "rho": ("rho", _scalar(float)),
-        "moves": ("moves", _parse_moves),
+        "model": ("model", _parse_text, _CLASSICAL_MODES, None),
+        "n": ("n", _scalar(int), _CLASSICAL_MODES, None),
+        "p": ("p", _scalar(float), _CLASSICAL_MODES, ("model", "binomial")),
+        "rho": ("rho", _scalar(float), _CLASSICAL_MODES, ("model", "correlated")),
+        "moves": ("moves", _parse_moves, _CLASSICAL_MODES, ("model", "correlated")),
     },
 }
 
@@ -428,60 +438,34 @@ def _check_keys(name: str, section: dict) -> None:
         raise ParseError(f"{name}: unknown key(s) {sorted(unknown)}")
 
 
-def _parse_fields(name: str, section: dict) -> dict:
-    return {
-        fld: parse(section[key], f"{name}.{key}")
-        for key, (fld, parse) in _SECTIONS[name].items()
-        if key in section
-    }
-
-
-# The classical keys that belong to one model.  A correlated key implies
-# its model when the section names none, and no key may sit beside another
-# model, given or implied; ClassicalParams refuses an unknown model.
-_MODEL_KEYS = {"p": "binomial", "rho": "correlated", "moves": "correlated"}
-
-
-def _build_classical_params(section: dict) -> ClassicalParams:
-    _check_keys("classical", section)
-    kwargs = _parse_fields("classical", section)
-    keys = [key for key in _MODEL_KEYS if key in section]
-    if "model" not in section and any(_MODEL_KEYS[key] == "correlated" for key in keys):
-        kwargs["model"] = "correlated"
-    model = kwargs.get("model", ClassicalParams.model)
-    for key in keys:
-        if _MODEL_KEYS[key] != model and model in _MODEL_KEYS.values():
-            raise ValidationError(
-                f"classical.{key} applies only to model = {_MODEL_KEYS[key]!r}, got model = {model!r}"
-            )
-    return ClassicalParams(**kwargs)
-
-
-# Each custom-data experiment key and the preset key it belongs to: the
-# data is read only beside ``custom``, so no data key may sit beside a preset.
-_CUSTOM_KEYS = {"coin_amplitudes": "coin", "coin_matrix": "coin_operator", "shift_table": "shift"}
+def _parse_fields(name: str, section: dict, fields: dict, defaults) -> dict:
+    # ``fields`` plus the section's parsed values, then its value gates.  A
+    # gate names a key whose field has its name; ``defaults`` has its default.
+    table = _SECTIONS[name]
+    for key, (fld, parse, _, _) in table.items():
+        if key in section:
+            fields[fld] = parse(section[key], f"{name}.{key}")
+    for key, (_, _, _, gate) in table.items():
+        if gate is not None and key in section:
+            other, wanted = gate
+            got = fields.get(other, getattr(defaults, other))
+            if got != wanted:
+                raise ValidationError(
+                    f"{name}.{key} applies only to {other} = {wanted!r}, got {other} = {got!r}"
+                )
+    return fields
 
 
 def _build_experiment(exp: dict, cls: dict) -> ExperimentConfig:
     _check_keys("experiment", exp)
     if "mode" not in exp:
         raise ValidationError("experiment.mode is required")
-    classical = _build_classical_params(cls)
-    fields = _parse_fields("experiment", exp)
-    for key, preset in _CUSTOM_KEYS.items():
-        name = fields.get(preset, getattr(ExperimentConfig, preset))
-        if key in exp and name != "custom":
-            raise ValidationError(
-                f"experiment.{key} applies only to {preset} = 'custom', got {preset} = {name!r}"
-            )
-    return ExperimentConfig(classical=classical, **fields)
-
-
-def _config_echo(exp: dict, cls: dict) -> dict:
-    echo = {"experiment": dict(sorted(exp.items()))}
-    if cls:
-        echo["classical"] = dict(sorted(cls.items()))
-    return echo
+    _check_keys("classical", cls)
+    # Without a model key, a key read only beside the correlated model selects it.
+    gates = [_SECTIONS["classical"][key][3] for key in cls]
+    fields = {"model": "correlated"} if "model" not in cls and ("model", "correlated") in gates else {}
+    classical = ClassicalParams(**_parse_fields("classical", cls, fields, ClassicalParams))
+    return ExperimentConfig(classical=classical, **_parse_fields("experiment", exp, {}, ExperimentConfig))
 
 
 def _classical_distribution(params: ClassicalParams) -> Distribution:
@@ -613,9 +597,24 @@ def _assemble_jobs(parser: configparser.ConfigParser):
     # No batch section: one job of the base sections ([experiment.None] is refused above).
     jobs = []
     for tag in sorted(tags, key=int) or [None]:
-        exp = section("experiment") | section(f"experiment.{tag}")
-        cls = section("classical") | section(f"classical.{tag}")
-        jobs.append((_build_experiment(exp, cls), _config_echo(exp, cls), tag))
+        merged = {name: section(name) | section(f"{name}.{tag}") for name in _SECTIONS}
+        echo = {name: dict(sorted(keys.items())) for name, keys in merged.items() if keys}
+        jobs.append((_build_experiment(merged["experiment"], merged["classical"]), echo, tag))
+    # A key no job reads is refused, the first in job, section and table
+    # order: one that a job's own section sets, when the job's mode does not
+    # read it, and one that a base section sets, when no job that takes it
+    # from there reads it.
+    for cfg, echo, tag in jobs:
+        for name, table in _SECTIONS.items():
+            own = section(f"{name}.{tag}")
+            for key, (_, _, modes, _) in table.items():
+                if cfg.mode in modes or key not in echo.get(name, ()):
+                    continue
+                takers = [job.mode for job, _, t in jobs if key not in section(f"{name}.{t}")]
+                if key in own or not set(takers) & set(modes):
+                    raise ValidationError(
+                        f"{name}.{key} applies only to mode in {modes}, got mode = {cfg.mode!r}"
+                    )
     return jobs
 
 

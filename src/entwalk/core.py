@@ -33,7 +33,6 @@ __all__ = [
     "Distribution",
     "SiteAmplitudes",
     "WalkState",
-    "check_unitary",
     "state_norm",
 ]
 
@@ -97,17 +96,6 @@ def _unitarity_defect(m: np.ndarray) -> float:
         # Cauchy-Schwarz some diagonal entry is then past float64 too
         return math.inf
     return max(defects)
-
-
-def check_unitary(matrix, tol: float = UNITARITY_TOL) -> bool:
-    """Return True iff ``max |M M^dag - I| <= tol`` entrywise.
-
-    Accepts any square array-like, such as a user-supplied matrix;
-    :class:`CoinOperator` applies the same test at construction.  The test
-    is exact at every size and runs in plain Python, so an n x n matrix
-    costs O(n^3) float operations: about 0.5 ms for a complex 16 x 16.
-    """
-    return _unitarity_defect(_as_complex_matrix(matrix)) <= tol
 
 
 @dataclass(frozen=True)

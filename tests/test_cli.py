@@ -854,6 +854,170 @@ def test_custom_data_inherited_beside_a_preset_is_refused(tmp_path, capsys):
     assert not list(tmp_path.glob("out*"))
 
 
+# The keys each mode reads, by section, and a config line (or two) that sets
+# each key to a value every mode accepts: a key read only beside another
+# key's value follows that line.
+MODE_READS = {
+    "quantum": {"experiment": {"mode", "coin", "coin_amplitudes", "coin_operator", "coin_matrix",
+                               "shift", "shift_table", "steps", "initial_position",
+                               "output_format", "output"},
+                "classical": set()},
+    "classical": {"experiment": {"mode", "output_format", "output"},
+                  "classical": {"model", "n", "p", "rho", "moves"}},
+    "compare": {"experiment": {"mode", "coin", "coin_amplitudes", "coin_operator", "coin_matrix",
+                               "shift", "shift_table", "steps", "initial_position", "positions",
+                               "output_format", "output"},
+                "classical": {"model", "n", "p", "rho", "moves"}},
+    "entropy": {"experiment": {"mode", "coin", "coin_amplitudes", "cut", "output_format", "output"},
+                "classical": set()},
+}
+KEY_LINES = {
+    ("experiment", "coin"): ["coin = phi_minus"],
+    ("experiment", "coin_amplitudes"): ["coin = custom", "coin_amplitudes = (0, 1) (0, 0) (0, 0) (0, 0)"],
+    ("experiment", "coin_operator"): ["coin_operator = y_n"],
+    ("experiment", "coin_matrix"): [
+        "coin_operator = custom",
+        "coin_matrix = (1, 0) (0, 0) (0, 0) (0, 0); (0, 0) (1, 0) (0, 0) (0, 0); "
+        "(0, 0) (0, 0) (1, 0) (0, 0); (0, 0) (0, 0) (0, 0) (1, 0)",
+    ],
+    ("experiment", "shift"): ["shift = s_ec_prime"],
+    ("experiment", "shift_table"): ["shift = custom", "shift_table = 1 0 0 -1"],
+    ("experiment", "steps"): ["steps = 3"],
+    ("experiment", "initial_position"): ["initial_position = 0"],
+    ("experiment", "positions"): ["positions = 1"],
+    ("experiment", "cut"): ["cut = 1"],
+    ("classical", "model"): ["model = binomial"],
+    ("classical", "n"): ["n = 3"],
+    ("classical", "p"): ["p = 0.5"],
+    ("classical", "rho"): ["rho = 0.5"],
+    ("classical", "moves"): ["moves = hh:1 ht:0 th:0 tt:-1"],
+}
+UNREAD = [
+    (mode, section, key)
+    for mode in MODE_READS
+    for section, key in KEY_LINES
+    if key not in MODE_READS[mode][section]
+]
+
+
+def mode_config(mode, out, keys):
+    # One job of ``mode`` writing ``out``, with the config lines of ``keys``.
+    lines = {"experiment": [f"mode = {mode}", f"output = {out}"], "classical": []}
+    for section, key in keys:
+        lines[section] += KEY_LINES[section, key]
+    return "".join(f"[{name}]\n" + "".join(f"{line}\n" for line in body)
+                   for name, body in lines.items() if body)
+
+
+def unread_message(section, key, mode):
+    modes = tuple(m for m in MODE_READS if key in MODE_READS[m][section])
+    return f"error: validation: {section}.{key} applies only to mode in {modes}, got mode = {mode!r}\n"
+
+
+@pytest.mark.parametrize("mode, section, key", UNREAD, ids=[f"{m}-{k}" for m, _, k in UNREAD])
+def test_a_key_the_mode_does_not_read_is_refused(tmp_path, capsys, mode, section, key):
+    # the first unread key is named: a key read only beside a preset key's
+    # value comes after that key, which the mode may not read either
+    out = tmp_path / "out.csv"
+    cfg = write_config(tmp_path, mode_config(mode, out, [(section, key)]))
+    assert run(cfg, quiet=True) == EXIT_VALIDATION
+    first = next(line.partition(" ")[0] for line in KEY_LINES[section, key]
+                 if line.partition(" ")[0] not in MODE_READS[mode][section])
+    assert capsys.readouterr().err == unread_message(section, first, mode)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", MODE_READS)
+def test_every_key_the_mode_reads_is_accepted(tmp_path, mode):
+    out = tmp_path / "out.csv"
+    # the custom data keys set coin, coin_operator and shift; p is the binomial model's
+    keys = [(section, key) for section, key in KEY_LINES if key in MODE_READS[mode][section]
+            and key not in ("coin", "coin_operator", "shift", "p")]
+    text = mode_config(mode, out, keys).replace("model = binomial", "model = correlated")
+    assert run(write_config(tmp_path, text), quiet=True) == EXIT_OK
+    assert out.exists()
+
+
+# Batch configs with a key that no job reads -> the error line.
+UNREAD_IN_BATCH = {
+    # a job's own key, read by the base's mode but not the job's
+    "own-key": (
+        "[experiment]\nmode = quantum\nsteps = 2\noutput = {out}\n"
+        "[experiment.1]\n[experiment.2]\nmode = entropy\nsteps = 3\n",
+        unread_message("experiment", "steps", "entropy"),
+    ),
+    # a base key that each job takes and none reads: the first job's mode is named
+    "base-key": (
+        "[experiment]\nmode = quantum\npositions = 1\noutput = {out}\n"
+        "[experiment.1]\nmode = entropy\n[experiment.2]\n",
+        unread_message("experiment", "positions", "entropy"),
+    ),
+    # a base key that the job which reads it sets for itself
+    "base-key-overridden": (
+        "[experiment]\nmode = entropy\nsteps = 2\noutput = {out}\n"
+        "[experiment.1]\n[experiment.2]\nmode = quantum\nsteps = 3\n",
+        unread_message("experiment", "steps", "entropy"),
+    ),
+    # a base classical key that two jobs take: the compare job sets its own
+    "base-classical-key": (
+        "[experiment]\nmode = quantum\noutput = {out}\n[classical]\nn = 3\n[experiment.1]\n"
+        "[experiment.2]\nmode = entropy\n[experiment.3]\nmode = compare\n[classical.3]\nn = 2\n",
+        unread_message("classical", "n", "quantum"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", UNREAD_IN_BATCH)
+def test_a_batch_key_no_job_reads_is_refused(tmp_path, capsys, case):
+    text, message = UNREAD_IN_BATCH[case]
+    cfg = write_config(tmp_path, text.replace("{out}", str(tmp_path / "out.csv")))
+    assert run(cfg, quiet=True) == EXIT_VALIDATION
+    assert capsys.readouterr().err == message
+    assert list(tmp_path.glob("out*")) == []
+
+
+@pytest.mark.parametrize(
+    "mode, override, section, key",
+    [("entropy", "steps=1", "experiment", "steps"), ("classical", "steps=1", "experiment", "steps"),
+     ("quantum", "classical.n=1", "classical", "n"), ("entropy", "classical.n=1", "classical", "n")],
+)
+def test_an_override_lands_in_the_base_section(tmp_path, capsys, mode, override, section, key):
+    out = tmp_path / "out.csv"
+    cfg = write_config(tmp_path, mode_config(mode, out, []))
+    assert run(cfg, overrides=[override], quiet=True) == EXIT_VALIDATION
+    assert capsys.readouterr().err == unread_message(section, key, mode)
+    assert not out.exists()
+
+
+# batch3 prints three jobs' json to stdout, its base steps reaching the
+# entropy job too; unread names the first of its unread keys in table order
+HASH_SEED_CONFIGS = {
+    "batch3": "[experiment]\nmode = quantum\nsteps = 20\noutput_format = json\n[experiment.1]\n"
+              "coin = ghz3\nshift = s_2d\n[experiment.2]\nmode = compare\n[experiment.10]\n"
+              "mode = entropy\ncoin = theta1\n",
+    "unread": "[experiment]\nmode = classical\ncut = 1\ninitial_position = 5\npositions = 3\n",
+}
+
+
+def test_output_and_errors_do_not_depend_on_the_hash_seed(tmp_path):
+    results = {}
+    for name, text in HASH_SEED_CONFIGS.items():
+        cfg = write_config(tmp_path, text, name=f"{name}.ini")
+        runs = [run_process("-m", "entwalk.cli", "run", cfg, "--quiet", PYTHONHASHSEED=seed)
+                for seed in ("0", "1")]
+        assert runs[0].stdout == runs[1].stdout and runs[0].stderr == runs[1].stderr
+        results[name] = runs[0]
+    assert results["batch3"].returncode == EXIT_OK and results["batch3"].stderr == ""
+    text, docs, end = results["batch3"].stdout, [], 0
+    while end < len(text):
+        doc, end = json.JSONDecoder().raw_decode(text, end)
+        docs.append(doc["metadata"]["mode"])
+        end += 1
+    assert docs == ["quantum", "compare", "entropy"]
+    assert results["unread"].returncode == EXIT_VALIDATION
+    assert results["unread"].stderr == unread_message("experiment", "initial_position", "classical")
+
+
 def test_compare_refuses_a_2d_walk_before_walking(tmp_path, capsys, monkeypatch):
     def no_evolve(cfg):
         raise AssertionError("compare mode evolved a 2D walk")

@@ -11,7 +11,8 @@ from entwalk.core import (
     Distribution,
     SiteAmplitudes,
     WalkState,
-    check_unitary,
+    _as_complex_matrix,
+    _unitarity_defect,
     state_norm,
 )
 from oracles import haar_unitary
@@ -22,23 +23,28 @@ HADAMARD = np.array([[SQRT1_2, SQRT1_2], [SQRT1_2, -SQRT1_2]])
 Y = SQRT1_2 * np.array([[1, 1j], [1j, 1]])
 
 
-def test_check_unitary_accepts_hadamard():
-    assert check_unitary(HADAMARD, tol=1e-12)
+def unitary(matrix, tol=UNITARITY_TOL):
+    # CoinOperator's verdict on a square array-like of any size, layout or dtype
+    return _unitarity_defect(_as_complex_matrix(matrix)) <= tol
 
 
-def test_check_unitary_rejects_constant_half_matrix():
-    assert not check_unitary(np.full((4, 4), 0.5), tol=1e-12)
-    assert not check_unitary(np.full((16, 16), 0.25), tol=1e-12)  # past coin size
+def test_unitarity_defect_accepts_hadamard():
+    assert unitary(HADAMARD, tol=1e-12)
 
 
-def test_check_unitary_accepts_y_tensor_y():
-    assert check_unitary(np.kron(Y, Y), tol=1e-12)
-    assert check_unitary(np.kron(np.kron(Y, Y), np.kron(Y, Y)), tol=1e-12)  # past coin size
+def test_unitarity_defect_rejects_constant_half_matrix():
+    assert not unitary(np.full((4, 4), 0.5), tol=1e-12)
+    assert not unitary(np.full((16, 16), 0.25), tol=1e-12)  # past coin size
 
 
-def test_check_unitary_rejects_non_square():
+def test_unitarity_defect_accepts_y_tensor_y():
+    assert unitary(np.kron(Y, Y), tol=1e-12)
+    assert unitary(np.kron(np.kron(Y, Y), np.kron(Y, Y)), tol=1e-12)  # past coin size
+
+
+def test_unitarity_defect_rejects_non_square():
     with pytest.raises(ValueError):
-        check_unitary(np.ones((2, 3)))
+        unitary(np.ones((2, 3)))
 
 
 def test_coin_state_validates_norm():
@@ -76,7 +82,7 @@ def test_coin_operator_validates_unitarity():
     # at the tolerance's edge: max |U U^dag - I| = 2 eps for U = (1 + eps) Y
     for eps, accepted in [(2.5e-13, True), (1e-12, False)]:
         u = Y * (1.0 + eps)
-        assert check_unitary(u) is accepted
+        assert unitary(u) is accepted
         if accepted:
             CoinOperator(u)
         else:
@@ -90,10 +96,10 @@ def test_coin_operator_validates_unitarity():
         CoinOperator(np.eye(3))
 
 
-def test_check_unitary_takes_any_memory_layout():
-    assert check_unitary(np.asfortranarray(np.kron(Y, Y)))
-    assert check_unitary(np.kron(Y, Y).T)
-    assert not check_unitary(np.asfortranarray(np.full((4, 4), 0.5)))
+def test_unitarity_defect_takes_any_memory_layout():
+    assert unitary(np.asfortranarray(np.kron(Y, Y)))
+    assert unitary(np.kron(Y, Y).T)
+    assert not unitary(np.asfortranarray(np.full((4, 4), 0.5)))
 
 
 def test_coin_checks_call_no_einsum_or_isfinite(monkeypatch):
@@ -113,16 +119,16 @@ def test_coin_checks_call_no_einsum_or_isfinite(monkeypatch):
     for kind in ("hadamard_n", "y_n"):
         for qubits in (1, 2, 3):
             op = build_coin_operator(kind, qubits)
-            assert check_unitary(op.matrix)
+            assert unitary(op.matrix)
             assert (op._real_matrix is None) == (kind == "y_n")
     for u in unitaries:
-        assert check_unitary(u)
-        assert not check_unitary(u * (1.0 + 1e-9))
+        assert unitary(u)
+        assert not unitary(u * (1.0 + 1e-9))
         CoinOperator(u)
-    assert not check_unitary(np.full((8, 8), 0.5))
+    assert not unitary(np.full((8, 8), 0.5))
     # past coin size: the same plain-Python test
-    assert check_unitary(u16)
-    assert not check_unitary(u16 * (1.0 + 1e-9))
+    assert unitary(u16)
+    assert not unitary(u16 * (1.0 + 1e-9))
     with pytest.raises(ValueError, match="finite"):
         CoinOperator([[1.0, 0.0], [0.0, np.inf]])
     with pytest.raises(ValueError, match="finite"):
@@ -148,7 +154,7 @@ def test_coin_check_verdicts_match_a_numpy_check(dim):
         reference = np.max(np.abs(u @ u.conj().T - np.eye(dim)))
         if abs(reference - UNITARITY_TOL) > 1e-15:
             accepted = bool(reference <= UNITARITY_TOL)
-            assert check_unitary(u) is accepted
+            assert unitary(u) is accepted
             if accepted:
                 CoinOperator(u)
             else:
