@@ -14,7 +14,10 @@ succeeds, so a failing config, or a failing write, leaves no file.
 
 Exit codes: 0 success, 2 config parse error, 3 validation error (also out of
 memory or an arithmetic error), 4 I/O error.  A key that its job's mode does
-not read, such as ``steps`` in entropy mode, exits 3 (see ``_SECTIONS``).
+not read, such as ``steps`` in entropy mode, exits 3 (see ``_SECTIONS``).  In
+a batch, a job takes a key from its own section when that sets it, else from
+the base section; a base key exits 3 when no job that takes it reads it, and
+when no job takes it, because every job sets the key for itself.
 
 Output formats:
 
@@ -42,6 +45,7 @@ import math
 import os
 import stat
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -578,43 +582,43 @@ def _apply_overrides(parser: configparser.ConfigParser, overrides) -> None:
 
 def _assemble_jobs(parser: configparser.ConfigParser):
     # Every job, built and so checked, before the first one runs.
-    tags = set()
     for name in parser.sections():
         base, dot, tag = name.partition(".")
         if base not in _SECTIONS:
             raise ParseError(f"unknown section [{name}]")
-        if dot:
-            # One spelling per index, so no two sections share one.
-            if not (tag.isascii() and tag.isdigit()) or str(int(tag)) != tag:
-                raise ParseError(f"batch section [{name}] must end in an integer index")
-            tags.add(tag)
+        # One spelling per index, so no two sections share one.
+        if dot and not (tag.isascii() and tag.isdigit() and str(int(tag)) == tag):
+            raise ParseError(f"batch section [{name}] must end in an integer index")
     if not parser.has_section("experiment"):
         raise ParseError("missing required section [experiment]")
-
-    def section(name: str) -> dict:
-        return dict(parser[name]) if parser.has_section(name) else {}
+    # Each section's keys, read once; a section the config lacks has none.
+    sections = defaultdict(dict, {name: dict(parser[name]) for name in parser.sections()})
 
     # No batch section: one job of the base sections ([experiment.None] is refused above).
     jobs = []
-    for tag in sorted(tags, key=int) or [None]:
-        merged = {name: section(name) | section(f"{name}.{tag}") for name in _SECTIONS}
+    for tag in sorted({name.partition(".")[2] for name in parser.sections()} - {""}, key=int) or [None]:
+        merged = {name: sections[name] | sections[f"{name}.{tag}"] for name in _SECTIONS}
         echo = {name: dict(sorted(keys.items())) for name, keys in merged.items() if keys}
         jobs.append((_build_experiment(merged["experiment"], merged["classical"]), echo, tag))
-    # A key no job reads is refused, the first in job, section and table
-    # order: one that a job's own section sets, when the job's mode does not
-    # read it, and one that a base section sets, when no job that takes it
-    # from there reads it.
-    for cfg, echo, tag in jobs:
+    # A key no job reads is refused.  A job takes a key from its own section
+    # when that sets it, else from the base section.  First, in job, section
+    # and table order: a job's own key that its mode does not read, and a
+    # base key that no job taking it reads.  Then a base key that no job
+    # takes, as every job sets it for itself.
+    takers = {(name, key): {job.mode for job, _, t in jobs if key not in sections[f"{name}.{t}"]}
+              for name, table in _SECTIONS.items() for key in table if key in sections[name]}
+    for cfg, _, tag in jobs:
         for name, table in _SECTIONS.items():
-            own = section(f"{name}.{tag}")
+            own = sections[f"{name}.{tag}"]
             for key, (_, _, modes, _) in table.items():
-                if cfg.mode in modes or key not in echo.get(name, ()):
-                    continue
-                takers = [job.mode for job, _, t in jobs if key not in section(f"{name}.{t}")]
-                if key in own or not set(takers) & set(modes):
+                readers = {cfg.mode} if key in own else takers.get((name, key), set())
+                if readers and not readers & set(modes):
                     raise ValidationError(
                         f"{name}.{key} applies only to mode in {modes}, got mode = {cfg.mode!r}"
                     )
+    for (name, key), modes in takers.items():
+        if not modes:
+            raise ValidationError(f"{name}.{key} is read by no job: every batch job sets its own")
     return jobs
 
 

@@ -190,15 +190,24 @@ def test_identical_config_gives_byte_identical_output(tmp_path):
     assert out.read_bytes() == first
 
 
-def test_json_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+@pytest.mark.parametrize(
+    "experiment",
+    [
+        "mode = quantum\ncoin = ghz3\nshift = s_2d\nsteps = 50\n",
+        "mode = quantum\ncoin = ghz3\ncoin_operator = y_n\nshift = s_2d\nsteps = 50\n",
+        "mode = entropy\ncoin = theta1\n",
+        "mode = entropy\ncoin = custom\ncoin_amplitudes = (0.5, 0.1) (0.4, -0.2) (-0.3, 0.4) (0.1, 0) "
+        "(0.2, -0.3) (0, 0.2) (-0.1, 0.1) (0.3, 0)\n",
+    ],
+    ids=["ghz3-hadamard_n", "ghz3-y_n", "entropy-theta1", "entropy-complex3"],
+)
+def test_json_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, experiment):
     # the 2D walk's window is large enough for a threaded BLAS reduction to
-    # split it, which would move the last digits of metadata.norm
+    # split it, which would move the last digits of metadata.norm; hadamard_n
+    # keeps the ghz3 walk float64 and y_n makes it complex128.  Entropy mode
+    # prints both cuts of the complex 3-qubit coin.
     out = tmp_path / "walk.json"
-    cfg = write_config(
-        tmp_path,
-        "[experiment]\nmode = quantum\ncoin = ghz3\nshift = s_2d\nsteps = 50\n"
-        f"output_format = json\noutput = {out}\n",
-    )
+    cfg = write_config(tmp_path, f"[experiment]\n{experiment}output_format = json\noutput = {out}\n")
     outputs = []
     for threads in ("1", "2"):
         result = run_process("-m", "entwalk.cli", "run", cfg, "--quiet", OPENBLAS_NUM_THREADS=threads)
@@ -585,7 +594,7 @@ def test_batch_outputs_suffixed_and_layered(tmp_path):
     cfg = write_config(
         tmp_path,
         QUANTUM_BASE.format(steps=1, fmt="csv", out=out)
-        + "\n[experiment.1]\nsteps = 1\n\n[experiment.2]\nsteps = 2\n",
+        + "\n[experiment.1]\n\n[experiment.2]\nsteps = 2\n",
     )
     assert run(cfg, quiet=True) == EXIT_OK
     assert not out.exists()
@@ -987,6 +996,23 @@ def test_an_override_lands_in_the_base_section(tmp_path, capsys, mode, override,
     assert run(cfg, overrides=[override], quiet=True) == EXIT_VALIDATION
     assert capsys.readouterr().err == unread_message(section, key, mode)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides", [[], ["steps=3"]], ids=["config", "override"])
+def test_a_base_key_every_batch_job_sets_is_refused(tmp_path, capsys, overrides):
+    # no job takes the base steps, so neither its value nor an override of it
+    # reaches a walk
+    out = tmp_path / "out.csv"
+    cfg = write_config(
+        tmp_path,
+        f"[experiment]\nmode = quantum\nsteps = 7\noutput = {out}\n"
+        "[experiment.1]\nsteps = 1\n[experiment.2]\nsteps = 2\n",
+    )
+    assert run(cfg, overrides=overrides, quiet=True) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: validation: experiment.steps is read by no job: every batch job sets its own\n"
+    )
+    assert list(tmp_path.glob("out*")) == []
 
 
 # batch3 prints three jobs' json to stdout, its base steps reaching the
