@@ -43,7 +43,7 @@ def main() -> None:
     base = entanglement_entropy(theta1, 1)
     for trial in range(3):
         u, v = haar_unitary(2, rng), haar_unitary(2, rng)
-        rotated = CoinState(qubits=2, amplitudes=np.kron(u, v) @ theta1.amplitudes)
+        rotated = CoinState(np.kron(u, v) @ theta1.amplitudes)
         print(
             f"  trial {trial}: E((U(x)V) theta1) = {entanglement_entropy(rotated, 1):.12f}"
             f"   (unrotated {base:.12f})"

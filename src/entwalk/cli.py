@@ -8,7 +8,8 @@ steps, output) and an optional ``[classical]`` section (binomial /
 correlated-pair parameters).  Numbered sections ``[experiment.1]``,
 ``[classical.1]``, ... (no leading zeros) define batch sub-configs layered
 over the base sections; each sub-config writes its own output file with the
-index inserted before the extension.  Every job is checked before the first
+index inserted before the extension.  Any other section, ``[DEFAULT]``
+included, is a parse error.  Every job is checked before the first
 runs, and output files are renamed into place only after the last job
 succeeds, so a failing config, or a failing write, leaves no file.
 
@@ -331,8 +332,6 @@ def _parse_complex_pairs(text: str, where: str) -> tuple[complex, ...]:
             values.append(complex(float(parts[0]), float(parts[1])))
         except ValueError:
             raise ParseError(f"{where}: non-numeric entry {group!r}") from None
-    if not values:
-        raise ParseError(f"{where}: empty value")
     return tuple(values)
 
 
@@ -373,7 +372,7 @@ def _parse_moves(text: str, where: str) -> DisplacementTable:
     missing = [o for o in OUTCOMES if o not in moves]
     if missing:
         raise ValidationError(f"{where}: every outcome needs a move, missing {missing}")
-    return DisplacementTable(dims=1, qubits=2, table=tuple((moves[o],) for o in OUTCOMES))
+    return DisplacementTable(tuple(moves[o] for o in OUTCOMES))
 
 
 def _parse_int_list(text: str, where: str) -> tuple[int, ...]:
@@ -556,7 +555,9 @@ def _read_sections(path: str) -> configparser.ConfigParser:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from None
-    parser = configparser.ConfigParser(interpolation=None)
+    # No header or override can name a section "\n", so [DEFAULT] is an
+    # ordinary section, refused as unknown, not defaults for every section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         parser.read_string(text, source=path)
     except configparser.Error as exc:

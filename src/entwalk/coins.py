@@ -77,11 +77,7 @@ def build_initial_coin(preset: str, custom_amplitudes=None) -> CoinState:
     if preset == "custom":
         if custom_amplitudes is None:
             raise ValueError("custom coin state requires amplitudes")
-        amps = np.array(custom_amplitudes, dtype=complex).reshape(-1)
-        qubits = amps.shape[0].bit_length() - 1
-        if 2**qubits != amps.shape[0]:
-            raise ValueError(f"amplitude count {amps.shape[0]} is not a power of two")
-        return CoinState(qubits=qubits, amplitudes=amps)
+        return CoinState(custom_amplitudes)
     try:
         amps = COIN_PRESETS[preset]
     except KeyError:
@@ -89,7 +85,7 @@ def build_initial_coin(preset: str, custom_amplitudes=None) -> CoinState:
             f"unknown coin preset {preset!r}; expected one of "
             f"{sorted(COIN_PRESETS)} or 'custom'"
         ) from None
-    return CoinState(qubits=len(amps).bit_length() - 1, amplitudes=np.array(amps, dtype=complex))
+    return CoinState(amps)
 
 
 def build_coin_operator(kind: str, qubits: int, custom_matrix=None) -> CoinOperator:
@@ -102,10 +98,12 @@ def build_coin_operator(kind: str, qubits: int, custom_matrix=None) -> CoinOpera
         ``"y_n"`` for the q-fold tensor power of Y = (1/sqrt(2)) [[1, i], [i, 1]],
         or ``"custom"`` for a user-supplied matrix.
     qubits : int
-        Coin register size, 1..3.
+        Coin register size of a tensor power, 1..3.  Ignored for
+        ``"custom"``, whose matrix sets its own (``WalkConfig`` checks that
+        it matches the coin state's).
     custom_matrix : array-like, optional
-        Required when ``kind == "custom"``: a ``2**qubits`` square matrix,
-        unitary within 1e-12.  Ignored otherwise.
+        Required when ``kind == "custom"``: a square matrix of dimension
+        ``2**q`` for q in 1..3, unitary within 1e-12.  Ignored otherwise.
 
     Returns
     -------
@@ -115,17 +113,15 @@ def build_coin_operator(kind: str, qubits: int, custom_matrix=None) -> CoinOpera
     ------
     ValueError
         Unknown kind, qubit count out of range, missing custom matrix, a
-        custom matrix of the wrong dimension, or a non-unitary custom matrix.
+        custom matrix of a dimension other than 2, 4 or 8, or a non-unitary
+        custom matrix.
     """
-    if not 1 <= qubits <= MAX_QUBITS:
-        raise ValueError(f"coin operator must act on 1..{MAX_QUBITS} qubits, got {qubits}")
     if kind == "custom":
         if custom_matrix is None:
             raise ValueError("custom coin operator requires a matrix")
-        op = CoinOperator(np.array(custom_matrix, dtype=complex))
-        if op.qubits != qubits:
-            raise ValueError(f"custom matrix acts on {op.qubits} qubit(s), expected {qubits}")
-        return op
+        return CoinOperator(custom_matrix)
+    if not 1 <= qubits <= MAX_QUBITS:
+        raise ValueError(f"coin operator must act on 1..{MAX_QUBITS} qubits, got {qubits}")
     if kind == "hadamard_n":
         base = _HADAMARD
     elif kind == "y_n":

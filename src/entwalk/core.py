@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -47,6 +47,18 @@ MAX_WINDOW_AMPLITUDES = 2**23
 UNITARITY_TOL = 1e-12
 
 DISTRIBUTION_SUM_TOL = 1e-10
+
+
+def _register_qubits(size: int, what: str) -> int:
+    """The q of a coin register of ``size == 2**q`` entries, q in 1..MAX_QUBITS.
+
+    Any other size raises ValueError, in the one message of the rule;
+    ``what`` names the count, such as ``"amplitude count"``.
+    """
+    q = size.bit_length() - 1
+    if not (1 <= q <= MAX_QUBITS and 2**q == size):
+        raise ValueError(f"{what} must be 2**q for a coin of q = 1..{MAX_QUBITS} qubits, got {size}")
+    return q
 
 
 def _as_complex_matrix(entries) -> np.ndarray:
@@ -104,24 +116,17 @@ class CoinState:
 
     Parameters
     ----------
-    qubits : int
-        Register size, 1 <= qubits <= MAX_QUBITS.
-    amplitudes : array-like of complex, length ``2**qubits``
+    amplitudes : array-like of complex, length ``2**q`` for q in 1..MAX_QUBITS
         Basis amplitudes in ket-label order.  Must be normalized within
-        ``UNITARITY_TOL``.
+        ``UNITARITY_TOL``.  Their count sets ``qubits``, q.
     """
 
-    qubits: int
     amplitudes: np.ndarray
+    qubits: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.qubits <= MAX_QUBITS:
-            raise ValueError(f"coin register must hold 1..{MAX_QUBITS} qubits, got {self.qubits}")
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.shape[0] != 2**self.qubits:
-            raise ValueError(
-                f"expected {2**self.qubits} amplitudes for {self.qubits} qubit(s), got {amps.shape[0]}"
-            )
+        object.__setattr__(self, "qubits", _register_qubits(amps.shape[0], "amplitude count"))
         parts = amps.view(np.float64).tolist()
         if not all(map(math.isfinite, parts)):
             raise ValueError("amplitudes must be finite")
@@ -136,17 +141,17 @@ class CoinState:
 class CoinOperator:
     """Unitary acting on the coin space, validated at construction.
 
-    The matrix must be square with dimension ``2**q`` for q in 1..MAX_QUBITS
-    and unitary within ``UNITARITY_TOL`` (max entry of ``|U U^dag - I|``).
+    The matrix must be square with dimension ``2**q`` for q in 1..MAX_QUBITS,
+    which sets ``qubits``, and unitary within ``UNITARITY_TOL`` (max entry of
+    ``|U U^dag - I|``).
     """
 
     matrix: np.ndarray
+    qubits: int = field(init=False)
 
     def __post_init__(self) -> None:
         m = _as_complex_matrix(self.matrix)
-        dim = m.shape[0]
-        if dim & (dim - 1) or not 2 <= dim <= 2**MAX_QUBITS:
-            raise ValueError(f"coin operator dimension must be 2^q with q in 1..{MAX_QUBITS}, got {dim}")
+        object.__setattr__(self, "qubits", _register_qubits(m.shape[0], "coin operator dimension"))
         defect = _unitarity_defect(m)
         if not defect <= UNITARITY_TOL:  # also refuses a NaN defect
             raise ValueError(f"matrix is not unitary: max |U U^dag - I| = {defect:.3e}")
@@ -156,10 +161,6 @@ class CoinOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def qubits(self) -> int:
-        return self.dim.bit_length() - 1
 
     @cached_property
     def _real_matrix(self) -> np.ndarray | None:
@@ -234,14 +235,12 @@ class WalkState:
     def __post_init__(self) -> None:
         if self.dims not in (1, 2):
             raise ValueError(f"lattice dimensionality must be 1 or 2, got {self.dims}")
-        if not 1 <= self.qubits <= MAX_QUBITS:
-            raise ValueError(f"coin register must hold 1..{MAX_QUBITS} qubits, got {self.qubits}")
         if not isinstance(self.amplitudes, SiteAmplitudes):
             raise TypeError(
                 f"amplitudes must be a SiteAmplitudes(window, origin), got {type(self.amplitudes).__name__}"
             )
         shape = self.amplitudes.window.shape
-        if len(shape) != self.dims + 1 or shape[0] != 2**self.qubits:
+        if len(shape) != self.dims + 1 or _register_qubits(shape[0], "coin plane count") != self.qubits:
             raise ValueError(
                 f"window of shape {shape} does not hold {self.dims}D sites of {self.qubits} qubit(s)"
             )

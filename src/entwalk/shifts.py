@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import MAX_QUBITS, SiteAmplitudes, WalkState
+from .core import SiteAmplitudes, WalkState, _register_qubits
 
 __all__ = [
     "SHIFT_PRESETS",
@@ -75,26 +75,25 @@ class _Layout(NamedTuple):
 class DisplacementTable:
     """Per-coin-basis-state lattice displacements of a conditional shift.
 
-    ``table[i]`` is the integer displacement vector (length ``dims``) applied
-    to the walker when the coin is in basis state ``i``.
+    ``table[i]`` is the integer displacement vector applied to the walker
+    when the coin is in basis state ``i``; a 1D displacement may be a bare
+    int.  The table's ``2**qubits`` rows set ``qubits``, and its first row's
+    length sets ``dims``, 1 or 2, which every row must share.
     """
 
-    dims: int
-    qubits: int
     table: tuple[tuple[int, ...], ...]
+    dims: int = field(init=False)
+    qubits: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.dims not in (1, 2):
-            raise ValueError(f"lattice dimensionality must be 1 or 2, got {self.dims}")
-        if not 1 <= self.qubits <= MAX_QUBITS:
-            raise ValueError(f"coin register must hold 1..{MAX_QUBITS} qubits, got {self.qubits}")
-        rows = tuple(tuple(int(x) for x in row) for row in self.table)
-        if len(rows) != 2**self.qubits:
-            raise ValueError(
-                f"table has {len(rows)} entries, expected {2**self.qubits} for {self.qubits} qubit(s)"
-            )
-        if any(len(row) != self.dims for row in rows):
-            raise ValueError(f"every displacement must have {self.dims} component(s)")
+        rows = tuple((int(row),) if isinstance(row, int) else tuple(int(x) for x in row) for row in self.table)
+        object.__setattr__(self, "qubits", _register_qubits(len(rows), "shift table length"))
+        dims = len(rows[0])
+        if dims not in (1, 2):
+            raise ValueError(f"lattice dimensionality must be 1 or 2, got {dims}")
+        if any(len(row) != dims for row in rows):
+            raise ValueError(f"every displacement must have {dims} component(s)")
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "table", rows)
 
     @cached_property
@@ -142,13 +141,7 @@ def build_shift(preset: str, custom_table=None) -> DisplacementTable:
     if preset == "custom":
         if custom_table is None:
             raise ValueError("custom shift requires a displacement table")
-        rows = [(row,) if isinstance(row, int) else tuple(row) for row in custom_table]
-        if not rows:
-            raise ValueError("custom shift table is empty")
-        qubits = len(rows).bit_length() - 1
-        if 2**qubits != len(rows):
-            raise ValueError(f"table length {len(rows)} is not a power of two")
-        return DisplacementTable(dims=len(rows[0]), qubits=qubits, table=tuple(rows))
+        return DisplacementTable(custom_table)
     try:
         rows = SHIFT_PRESETS[preset]
     except KeyError:
@@ -156,7 +149,7 @@ def build_shift(preset: str, custom_table=None) -> DisplacementTable:
             f"unknown shift preset {preset!r}; expected one of "
             f"{sorted(SHIFT_PRESETS)} or 'custom'"
         ) from None
-    return DisplacementTable(dims=len(rows[0]), qubits=len(rows).bit_length() - 1, table=rows)
+    return DisplacementTable(rows)
 
 
 def _shifted_shape(shape: tuple[int, ...], table: DisplacementTable) -> tuple[int, ...]:

@@ -210,7 +210,7 @@ def test_correlated_walk_matches_enumeration(n, x, y):
         build_shift("s_single"),  # 1D, one qubit: two outcomes
         build_shift("s_3a"),  # 1D, three qubits: eight outcomes
         build_shift("s_2d"),  # 2D, three qubits
-        DisplacementTable(dims=2, qubits=2, table=((1, 0), (0, 0), (0, 0), (-1, 0))),  # 2D, two qubits
+        DisplacementTable(((1, 0), (0, 0), (0, 0), (-1, 0))),  # 2D, two qubits
     ],
     ids=["1d-1q", "1d-3q", "2d-3q", "2d-2q"],
 )

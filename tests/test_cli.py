@@ -624,6 +624,13 @@ def test_override_requires_key_value_shape(tmp_path):
     assert run(cfg, overrides=["steps"], quiet=True) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("override, section", [("DEFAULT.steps=3", "DEFAULT"), (".steps=1", "")])
+def test_an_override_of_an_unknown_section_is_a_parse_error(tmp_path, capsys, override, section):
+    cfg = write_config(tmp_path, QUANTUM_BASE.format(steps=1, fmt="csv", out=tmp_path / "x.csv"))
+    assert run(cfg, overrides=[override], quiet=True) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: config parse: unknown section [{section}]\n"
+
+
 def test_exit_code_missing_config():
     assert run("/definitely/not/here.ini", quiet=True) == EXIT_IO
 
@@ -646,6 +653,8 @@ PARSE_ERRORS = {
         "experiment: unknown key(s) ['warp_drive']",
     "[experiment]\nmode = quantum\nseed = 1\n": "experiment: unknown key(s) ['seed']",
     "[mystery]\nmode = quantum\n": "unknown section [mystery]",
+    # an ordinary section, not defaults for every section
+    "[DEFAULT]\nsteps = 3\n[experiment]\nmode = quantum\n": "unknown section [DEFAULT]",
     "[experiment.x]\nsteps = 1\n": "batch section [experiment.x] must end in an integer index",
     # one spelling per index: no leading zero, ASCII digits only
     "[experiment]\nmode = quantum\n[experiment.1]\n[experiment.01]\n":
@@ -658,8 +667,6 @@ PARSE_ERRORS = {
         "experiment.coin_amplitudes: expected (re, im) pairs, got '1, 0, 0'",
     "[experiment]\nmode = quantum\ncoin = custom\ncoin_amplitudes = (1, x)\n":
         "experiment.coin_amplitudes: non-numeric entry '1, x'",
-    "[experiment]\nmode = quantum\ncoin = custom\ncoin_amplitudes = ( )\n":
-        "experiment.coin_amplitudes: empty value",
     "[experiment]\nmode = quantum\ncoin_operator = custom\ncoin_matrix = (1, 0) (0, 0); (1)\n":
         "experiment.coin_matrix: expected (re, im) pairs, got '1'",
     "[experiment]\nmode = quantum\nshift = custom\nshift_table = 1 0 x -1\n":
@@ -755,6 +762,8 @@ VALIDATION_ERRORS = {
         "'theta0', 'theta1'] or 'custom'",
     "[experiment]\nmode = quantum\ncoin = ghz3\nshift = s_ec\n":  # size mismatch
         "shift conditions on 2 qubit(s) but coin holds 3",
+    "[experiment]\nmode = quantum\ncoin_operator = custom\ncoin_matrix = (1, 0) (0, 0); (0, 0) (1, 0)\n":
+        "coin state has 2 qubit(s) but operator acts on 1",
     "[experiment]\nmode = quantum\nsteps = -1\n":  # negative steps
         "steps must be nonnegative, got -1",
     "[experiment]\nmode = quantum\noutput_format = yaml\n":  # unknown format

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from entwalk.cli import EXIT_VALIDATION, run
 from entwalk.coins import COIN_PRESETS, build_coin_operator, build_initial_coin
 from entwalk.core import (
+    MAX_QUBITS,
     UNITARITY_TOL,
     CoinOperator,
     CoinState,
@@ -15,6 +17,7 @@ from entwalk.core import (
     _unitarity_defect,
     state_norm,
 )
+from entwalk.shifts import DisplacementTable, build_shift
 from oracles import haar_unitary
 from states import site_state
 
@@ -48,31 +51,59 @@ def test_unitarity_defect_rejects_non_square():
 
 
 def test_coin_state_validates_norm():
-    CoinState(qubits=1, amplitudes=[SQRT1_2, SQRT1_2])
+    CoinState([SQRT1_2, SQRT1_2])
     with pytest.raises(ValueError, match="not normalized"):
-        CoinState(qubits=1, amplitudes=[1.0, 1.0])
+        CoinState([1.0, 1.0])
     # at the tolerance's edge: |psi|^2 = 1 +- 5e-13 passes, 1 +- 2e-12 does not
     for offset, accepted in [(5e-13, True), (-5e-13, True), (2e-12, False), (-2e-12, False)]:
         amps = np.array([0.6, 0.8j]) * math.sqrt(1.0 + offset)
         assert abs(math.fsum(abs(a) ** 2 for a in amps) - (1.0 + offset)) < 1e-15
         if accepted:
-            CoinState(qubits=1, amplitudes=amps)
+            CoinState(amps)
         else:
             with pytest.raises(ValueError, match="not normalized"):
-                CoinState(qubits=1, amplitudes=amps)
+                CoinState(amps)
 
 
-def test_coin_state_validates_length_and_range():
-    with pytest.raises(ValueError):
-        CoinState(qubits=2, amplitudes=[1.0, 0.0])
-    with pytest.raises(ValueError):
-        CoinState(qubits=4, amplitudes=[1.0] + [0.0] * 15)
-    with pytest.raises(ValueError):
-        CoinState(qubits=1, amplitudes=[np.nan, 0.0])
+# Entry point -> (the count its message names, a call on that many entries).
+REGISTER_CALLS = {
+    "CoinState": ("amplitude count", lambda n: CoinState(np.eye(1, n)[0])),
+    "CoinOperator": ("coin operator dimension", lambda n: CoinOperator(np.eye(n))),
+    "DisplacementTable": ("shift table length", lambda n: DisplacementTable(range(n))),
+    "WalkState": ("coin plane count",
+                  lambda n: WalkState(dims=1, qubits=1, amplitudes=SiteAmplitudes(np.zeros((n, 1)), (0,)))),
+    "build_initial_coin": ("amplitude count", lambda n: build_initial_coin("custom", np.eye(1, n)[0])),
+    "build_shift": ("shift table length", lambda n: build_shift("custom", range(n))),
+}
+# The CLI's custom coin and shift -> (the count its message names, the
+# [experiment] keys of that many entries).
+REGISTER_CONFIGS = {
+    "cli-coin": ("amplitude count",
+                 lambda n: "coin = custom\ncoin_amplitudes = " + " ".join(f"({x:g}, 0)" for x in np.eye(1, n)[0])),
+    "cli-shift": ("shift table length", lambda n: "shift = custom\nshift_table = " + " ".join(map(str, range(n)))),
+}
+
+
+@pytest.mark.parametrize("size", [0, 1, 3, 6, 16])
+@pytest.mark.parametrize("entry", [*REGISTER_CALLS, *REGISTER_CONFIGS])
+def test_every_entry_point_refuses_a_register_size_with_one_message(tmp_path, capsys, entry, size):
+    # a coin register of q = 1..3 qubits has 2**q entries
+    if entry in REGISTER_CALLS:
+        what, call = REGISTER_CALLS[entry]
+        with pytest.raises(ValueError) as refused:
+            call(size)
+        message = f"{refused.value}\n"
+    else:
+        what, keys = REGISTER_CONFIGS[entry]
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"[experiment]\nmode = quantum\n{keys(size)}\n", encoding="utf-8")
+        assert run(str(cfg), quiet=True) == EXIT_VALIDATION
+        message = capsys.readouterr().err.removeprefix("error: validation: ")
+    assert message == f"{what} must be 2**q for a coin of q = 1..{MAX_QUBITS} qubits, got {size}\n"
 
 
 def test_coin_state_amplitudes_are_read_only():
-    s = CoinState(qubits=1, amplitudes=[1.0, 0.0])
+    s = CoinState([1.0, 0.0])
     with pytest.raises(ValueError):
         s.amplitudes[0] = 0.0
 
@@ -90,10 +121,6 @@ def test_coin_operator_validates_unitarity():
                 CoinOperator(u)
     with pytest.raises(ValueError, match="not unitary"):
         CoinOperator(np.full((4, 4), 0.5))
-    with pytest.raises(ValueError, match="dimension"):
-        CoinOperator(np.eye(16))
-    with pytest.raises(ValueError, match="dimension"):
-        CoinOperator(np.eye(3))
 
 
 def test_unitarity_defect_takes_any_memory_layout():
@@ -132,7 +159,7 @@ def test_coin_checks_call_no_einsum_or_isfinite(monkeypatch):
     with pytest.raises(ValueError, match="finite"):
         CoinOperator([[1.0, 0.0], [0.0, np.inf]])
     with pytest.raises(ValueError, match="finite"):
-        CoinState(qubits=1, amplitudes=[np.nan, 0.0])
+        CoinState([np.nan, 0.0])
 
 
 @pytest.mark.parametrize("dim", [2, 4, 8])
@@ -168,10 +195,10 @@ def test_coin_check_verdicts_match_a_numpy_check(dim):
         if abs(reference - UNITARITY_TOL) > 1e-15:
             accepted = bool(reference <= UNITARITY_TOL)
             if accepted:
-                CoinState(qubits=dim.bit_length() - 1, amplitudes=v)
+                CoinState(v)
             else:
                 with pytest.raises(ValueError, match="not normalized"):
-                    CoinState(qubits=dim.bit_length() - 1, amplitudes=v)
+                    CoinState(v)
             verdicts["state"].append(accepted)
     for kind, seen in verdicts.items():
         assert 50 < sum(seen) < len(seen) - 50, kind  # both verdicts, many times

@@ -58,7 +58,7 @@ def test_initial_state_bell_coin():
 
 def test_initial_state_single_qubit_basis_coin():
     cfg = WalkConfig(
-        coin_state=CoinState(qubits=1, amplitudes=[1, 0]),
+        coin_state=CoinState([1, 0]),
         coin_op=build_coin_operator("hadamard_n", 1),
         shift=build_shift("s_single"),
         steps=0,
@@ -171,7 +171,7 @@ def test_engine_matches_dense_oracle_varied_depths(steps):
 
 
 def test_single_qubit_hadamard_walk_matches_dense_oracle():
-    coin_state = CoinState(qubits=1, amplitudes=[1, 0])
+    coin_state = CoinState([1, 0])
     cfg = WalkConfig(
         coin_state=coin_state,
         coin_op=build_coin_operator("hadamard_n", 1),

@@ -58,16 +58,12 @@ def test_custom_table_2d():
 
 
 def test_custom_table_rejects_bad_shapes():
-    with pytest.raises(ValueError, match="power of two"):
-        build_shift("custom", [1, 0, -1])
     with pytest.raises(ValueError, match="component"):
         build_shift("custom", [(1, 0), (0,)])
     with pytest.raises(ValueError, match="requires"):
         build_shift("custom")
     with pytest.raises(ValueError, match="unknown shift preset"):
         build_shift("s_bogus")
-    with pytest.raises(ValueError):
-        build_shift("custom", [1, -1] * 8)  # 16 entries -> 4 qubits
 
 
 def test_apply_shift_moves_basis_amplitude():
@@ -171,6 +167,4 @@ def test_apply_shift_validates_compatibility():
 
 def test_displacement_table_validation():
     with pytest.raises(ValueError, match="dimensionality"):
-        DisplacementTable(dims=3, qubits=1, table=((1, 1, 1), (0, 0, 0)))
-    with pytest.raises(ValueError, match="entries"):
-        DisplacementTable(dims=1, qubits=2, table=((1,), (-1,)))
+        DisplacementTable(((1, 1, 1), (0, 0, 0)))
