@@ -43,7 +43,7 @@ MAX_WINDOW_SITES = 10_000_000  # window cap; at most three float64 arrays this l
 # shifts._STEP_OVERHEAD a step.  On one 2-vCPU host (numpy 2.4.6) a counted
 # update took 1.3-2.4 ns on windows of 4*10**4 sites and 4.3 ns on 4*10**5,
 # so the largest walk the cap takes, 221567 steps of the default moves at
-# rho = 0.5, ran 215 s: no longer than the largest under the earlier count.
+# rho = 0.5, ran 215 s.
 MAX_WINDOW_UPDATES = 5 * 10**10
 
 

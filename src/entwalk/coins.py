@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import MAX_QUBITS, CoinOperator, CoinState
+from .core import MAX_QUBITS, CoinOperator, CoinState, _preset_data
 
 __all__ = [
     "COIN_OPERATOR_KINDS",
@@ -27,9 +27,6 @@ __all__ = [
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
-
-_HADAMARD = np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=complex)
-_Y = np.array([[_SQRT1_2, 1j * _SQRT1_2], [1j * _SQRT1_2, _SQRT1_2]], dtype=complex)
 
 # Preset name -> amplitude vector in basis-label order (see :mod:`entwalk.core`).
 COIN_PRESETS: dict[str, tuple[complex, ...]] = {
@@ -45,7 +42,13 @@ COIN_PRESETS: dict[str, tuple[complex, ...]] = {
     "single_hadamard_bias": (math.sqrt(0.85), -math.sqrt(0.15)),
 }
 
-COIN_OPERATOR_KINDS = ("hadamard_n", "y_n", "custom")
+# Operator kind -> the one-qubit matrix whose tensor powers it names.
+_TENSOR_BASES = {
+    "hadamard_n": np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=complex),
+    "y_n": np.array([[_SQRT1_2, 1j * _SQRT1_2], [1j * _SQRT1_2, _SQRT1_2]], dtype=complex),
+}
+
+COIN_OPERATOR_KINDS = (*_TENSOR_BASES, "custom")
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -54,83 +57,35 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def build_initial_coin(preset: str, custom_amplitudes=None) -> CoinState:
-    """Construct an initial coin state by preset name.
+    """Construct an initial coin state: preset ``COIN_PRESETS[preset]``, or,
+    for ``preset == "custom"``, ``CoinState(custom_amplitudes)``.
 
-    Parameters
-    ----------
-    preset : str
-        One of the keys of ``COIN_PRESETS``, or ``"custom"``.
-    custom_amplitudes : array-like of complex, optional
-        Required when ``preset == "custom"``: amplitudes of length ``2**q``
-        for q in 1..3, normalized within 1e-12.  Ignored otherwise.
-
-    Returns
-    -------
-    CoinState
-
-    Raises
-    ------
-    ValueError
-        Unknown preset name, missing or malformed custom amplitudes, or
-        custom amplitudes that fail the normalization check.
+    Custom amplitudes number ``2**q`` for q in 1..3 and are normalized
+    within 1e-12.  The choice follows the preset rule of ``core._preset_data``.
     """
-    if preset == "custom":
-        if custom_amplitudes is None:
-            raise ValueError("custom coin state requires amplitudes")
-        return CoinState(custom_amplitudes)
-    try:
-        amps = COIN_PRESETS[preset]
-    except KeyError:
-        raise ValueError(
-            f"unknown coin preset {preset!r}; expected one of "
-            f"{sorted(COIN_PRESETS)} or 'custom'"
-        ) from None
-    return CoinState(amps)
+    return CoinState(_preset_data(COIN_PRESETS, preset, custom_amplitudes, "coin preset", "coin state",
+                                  "amplitudes"))
 
 
 def build_coin_operator(kind: str, qubits: int, custom_matrix=None) -> CoinOperator:
     """Construct a coin operator.
 
-    Parameters
-    ----------
-    kind : str
-        ``"hadamard_n"`` for the q-fold tensor power of the Hadamard matrix,
-        ``"y_n"`` for the q-fold tensor power of Y = (1/sqrt(2)) [[1, i], [i, 1]],
-        or ``"custom"`` for a user-supplied matrix.
-    qubits : int
-        Coin register size of a tensor power, 1..3.  Ignored for
-        ``"custom"``, whose matrix sets its own (``WalkConfig`` checks that
-        it matches the coin state's).
-    custom_matrix : array-like, optional
-        Required when ``kind == "custom"``: a square matrix of dimension
-        ``2**q`` for q in 1..3, unitary within 1e-12.  Ignored otherwise.
-
-    Returns
-    -------
-    CoinOperator
-
-    Raises
-    ------
-    ValueError
-        Unknown kind, qubit count out of range, missing custom matrix, a
-        custom matrix of a dimension other than 2, 4 or 8, or a non-unitary
-        custom matrix.
+    ``kind`` is ``"hadamard_n"`` for the q-fold tensor power of the Hadamard
+    matrix, ``"y_n"`` for that of Y = (1/sqrt(2)) [[1, i], [i, 1]], or
+    ``"custom"`` for ``CoinOperator(custom_matrix)``, a matrix of dimension
+    ``2**q`` for q in 1..3, unitary within 1e-12.  ``qubits``, 1..3, sizes
+    only a tensor power: a custom matrix sets its own (``WalkConfig``
+    checks that it matches the coin state's).  The choice follows the
+    preset rule of ``core._preset_data``.
     """
-    if kind == "custom":
-        if custom_matrix is None:
-            raise ValueError("custom coin operator requires a matrix")
-        return CoinOperator(custom_matrix)
-    if not 1 <= qubits <= MAX_QUBITS:
-        raise ValueError(f"coin operator must act on 1..{MAX_QUBITS} qubits, got {qubits}")
-    if kind == "hadamard_n":
-        base = _HADAMARD
-    elif kind == "y_n":
-        base = _Y
-    else:
-        raise ValueError(f"unknown coin operator kind {kind!r}; expected one of {COIN_OPERATOR_KINDS}")
-    matrix = base
-    for _ in range(qubits - 1):
-        matrix = _kron(matrix, base)
+    matrix = _preset_data(_TENSOR_BASES, kind, custom_matrix, "coin operator kind", "coin operator",
+                          "a matrix")
+    if kind != "custom":
+        if not 1 <= qubits <= MAX_QUBITS:
+            raise ValueError(f"coin operator must act on 1..{MAX_QUBITS} qubits, got {qubits}")
+        base = matrix
+        for _ in range(qubits - 1):
+            matrix = _kron(matrix, base)
     return CoinOperator(matrix)
 
 

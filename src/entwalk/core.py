@@ -26,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "MAX_QUBITS",
-    "MAX_WINDOW_AMPLITUDES",
     "UNITARITY_TOL",
     "CoinOperator",
     "CoinState",
@@ -37,11 +36,6 @@ __all__ = [
 ]
 
 MAX_QUBITS = 3
-
-# Cap on the amplitudes of one walk-state window, 16 bytes each in
-# complex128 and 8 in float64; a walk step holds two windows of about this
-# size, and a workspace of two coin blocks (engine._BLOCK_AMPLITUDES).
-MAX_WINDOW_AMPLITUDES = 2**23
 
 # Construction-time tolerance for custom unitaries and state normalization.
 UNITARITY_TOL = 1e-12
@@ -59,6 +53,41 @@ def _register_qubits(size: int, what: str) -> int:
     if not (1 <= q <= MAX_QUBITS and 2**q == size):
         raise ValueError(f"{what} must be 2**q for a coin of q = 1..{MAX_QUBITS} qubits, got {size}")
     return q
+
+
+def _preset_data(presets: dict, name: str, data, what: str, built: str, needs: str):
+    """The data to build from: ``data`` for ``"custom"``, else preset ``name``'s entries.
+
+    Raises ValueError for ``"custom"`` without data, for a preset given
+    data and for any other name.  ``what`` names the choice, such as
+    ``"coin preset"``; ``built`` names what it builds, such as ``"coin
+    state"``, and ``needs`` the custom data, such as ``"amplitudes"``.
+    """
+    if name == "custom":
+        if data is None:
+            raise ValueError(f"custom {built} requires {needs}")
+        return data
+    if name not in presets:
+        raise ValueError(f"unknown {what} {name!r}; expected one of {sorted(presets)} or 'custom'")
+    if data is not None:
+        raise ValueError(f"{what} {name!r} takes no custom data; only 'custom' does")
+    return presets[name]
+
+
+def _coordinates(value, what: str) -> tuple[int, ...]:
+    """``value``, an int or a sequence of ints, as a tuple of Python ints.
+
+    An int is anything ``operator.index`` takes, numpy integers included;
+    anything else, such as a float or a string, raises ValueError.
+    """
+    try:
+        return (operator.index(value),)
+    except TypeError:
+        pass
+    try:
+        return tuple(map(operator.index, value))
+    except TypeError:
+        raise ValueError(f"{what} must be an int or a sequence of ints, got {value!r}") from None
 
 
 def _as_complex_matrix(entries) -> np.ndarray:
@@ -136,6 +165,16 @@ class CoinState:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
+    # By value.  Python hashes equal numbers alike, -0.0 and 0.0 included,
+    # so a hash of the entries as Python complex numbers agrees with ==.
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CoinState):
+            return NotImplemented
+        return np.array_equal(self.amplitudes, other.amplitudes)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.amplitudes.tolist()))
+
 
 @dataclass(frozen=True)
 class CoinOperator:
@@ -157,6 +196,15 @@ class CoinOperator:
             raise ValueError(f"matrix is not unitary: max |U U^dag - I| = {defect:.3e}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+    # By value, as CoinState.
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CoinOperator):
+            return NotImplemented
+        return np.array_equal(self.matrix, other.matrix)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.matrix.ravel().tolist()))
 
     @property
     def dim(self) -> int:

@@ -20,18 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    MAX_WINDOW_AMPLITUDES,
-    CoinOperator,
-    CoinState,
-    Distribution,
-    SiteAmplitudes,
-    WalkState,
-)
+from .core import CoinOperator, CoinState, Distribution, SiteAmplitudes, WalkState, _coordinates
 from .shifts import DisplacementTable, _shift_amplitudes, _shifted_shape, _window_cost
 
 __all__ = [
     "MAX_WALK_WORK",
+    "MAX_WINDOW_AMPLITUDES",
     "WalkConfig",
     "check_walk_cost",
     "evolve",
@@ -46,6 +40,11 @@ __all__ = [
 # shifts._STEP_OVERHEAD charged a step, it stops a walk whose window never
 # grows at ~2.4 million steps, under a minute and a half.
 MAX_WALK_WORK = 10**10
+
+# Cap on the amplitudes of one walk-state window, 16 bytes each in
+# complex128 and 8 in float64; a walk step holds two windows of about this
+# size, and a workspace of two coin blocks (_BLOCK_AMPLITUDES).
+MAX_WINDOW_AMPLITUDES = 2**23
 
 # Amplitudes in one block of a step's coin: the coin runs block by block
 # over rows of the window, so a step holds two windows and a workspace of
@@ -99,12 +98,7 @@ class WalkConfig:
         if self.steps < 0:
             raise ValueError(f"step count must be nonnegative, got {self.steps}")
         pos = self.initial_position
-        if pos is None:
-            pos = (0,) * self.shift.dims
-        elif isinstance(pos, int):
-            pos = (pos,)
-        else:
-            pos = tuple(int(x) for x in pos)
+        pos = (0,) * self.shift.dims if pos is None else _coordinates(pos, "initial position")
         if len(pos) != self.shift.dims:
             raise ValueError(
                 f"initial position {pos} does not have {self.shift.dims} component(s)"

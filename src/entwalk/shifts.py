@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SiteAmplitudes, WalkState, _register_qubits
+from .core import SiteAmplitudes, WalkState, _coordinates, _preset_data, _register_qubits
 
 __all__ = [
     "SHIFT_PRESETS",
@@ -77,7 +77,8 @@ class DisplacementTable:
 
     ``table[i]`` is the integer displacement vector applied to the walker
     when the coin is in basis state ``i``; a 1D displacement may be a bare
-    int.  The table's ``2**qubits`` rows set ``qubits``, and its first row's
+    int.  An int is a Python or numpy integer; a float or a string raises
+    ValueError.  The table's ``2**qubits`` rows set ``qubits``, and its first row's
     length sets ``dims``, 1 or 2, which every row must share.
     """
 
@@ -86,7 +87,7 @@ class DisplacementTable:
     qubits: int = field(init=False)
 
     def __post_init__(self) -> None:
-        rows = tuple((int(row),) if isinstance(row, int) else tuple(int(x) for x in row) for row in self.table)
+        rows = tuple(_coordinates(row, "displacement") for row in self.table)
         object.__setattr__(self, "qubits", _register_qubits(len(rows), "shift table length"))
         dims = len(rows[0])
         if dims not in (1, 2):
@@ -118,38 +119,15 @@ def _window_cost(n: int, growth: tuple[int, ...], per_site: int = 1) -> tuple[in
 
 
 def build_shift(preset: str, custom_table=None) -> DisplacementTable:
-    """Construct a conditional shift by preset name.
+    """Construct a conditional shift: preset ``SHIFT_PRESETS[preset]``, or,
+    for ``preset == "custom"``, ``DisplacementTable(custom_table)``.
 
-    Parameters
-    ----------
-    preset : str
-        One of the keys of ``SHIFT_PRESETS``, or ``"custom"``.
-    custom_table : sequence, optional
-        Required when ``preset == "custom"``: one displacement per coin basis
-        state, each either an int (1D) or a pair of ints (2D), ``2**q``
-        entries for q in 1..3.  Ignored otherwise.
-
-    Returns
-    -------
-    DisplacementTable
-
-    Raises
-    ------
-    ValueError
-        Unknown preset name or a malformed custom table.
+    ``custom_table`` holds one displacement per coin basis state, each an
+    int (1D) or a pair of ints (2D), ``2**q`` entries for q in 1..3.  The
+    choice follows the preset rule of ``core._preset_data``.
     """
-    if preset == "custom":
-        if custom_table is None:
-            raise ValueError("custom shift requires a displacement table")
-        return DisplacementTable(custom_table)
-    try:
-        rows = SHIFT_PRESETS[preset]
-    except KeyError:
-        raise ValueError(
-            f"unknown shift preset {preset!r}; expected one of "
-            f"{sorted(SHIFT_PRESETS)} or 'custom'"
-        ) from None
-    return DisplacementTable(rows)
+    return DisplacementTable(_preset_data(SHIFT_PRESETS, preset, custom_table, "shift preset", "shift",
+                                          "a displacement table"))
 
 
 def _shifted_shape(shape: tuple[int, ...], table: DisplacementTable) -> tuple[int, ...]:

@@ -760,6 +760,12 @@ VALIDATION_ERRORS = {
         "unknown coin preset 'bogus'; expected one of ['ghz3', 'inui_konno', 'phi_minus', "
         "'phi_plus', 'plus_i_product', 'psi_minus', 'psi_plus', 'single_hadamard_bias', "
         "'theta0', 'theta1'] or 'custom'",
+    # coin states, coin operators and shifts resolve a name by one rule
+    "[experiment]\nmode = quantum\ncoin_operator = bogus\n":
+        "unknown coin operator kind 'bogus'; expected one of ['hadamard_n', 'y_n'] or 'custom'",
+    "[experiment]\nmode = quantum\ncoin = custom\n": "custom coin state requires amplitudes",
+    "[experiment]\nmode = quantum\ncoin_operator = custom\n": "custom coin operator requires a matrix",
+    "[experiment]\nmode = quantum\nshift = custom\n": "custom shift requires a displacement table",
     "[experiment]\nmode = quantum\ncoin = ghz3\nshift = s_ec\n":  # size mismatch
         "shift conditions on 2 qubit(s) but coin holds 3",
     "[experiment]\nmode = quantum\ncoin_operator = custom\ncoin_matrix = (1, 0) (0, 0); (0, 0) (1, 0)\n":

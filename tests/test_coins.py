@@ -142,6 +142,13 @@ def test_unknown_operator_kind_rejected():
         build_coin_operator("hadamard_n", 4)
 
 
+def test_unknown_operator_kind_is_named_before_the_qubit_count():
+    with pytest.raises(ValueError, match="unknown coin operator kind 'bogus'"):
+        build_coin_operator("bogus", 5)
+    # a custom matrix sets its own qubit count
+    assert build_coin_operator("custom", 5, np.eye(4)).qubits == 2
+
+
 @pytest.mark.parametrize("name", ["phi_plus", "phi_minus", "psi_plus", "psi_minus"])
 def test_maximally_entangled_two_qubit_states(name):
     assert entanglement_entropy(build_initial_coin(name), 1) == 1.0

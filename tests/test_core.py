@@ -1,10 +1,13 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import entwalk
 from entwalk.cli import EXIT_VALIDATION, run
-from entwalk.coins import COIN_PRESETS, build_coin_operator, build_initial_coin
+from entwalk.coins import COIN_OPERATOR_KINDS, COIN_PRESETS, build_coin_operator, build_initial_coin
 from entwalk.core import (
     MAX_QUBITS,
     UNITARITY_TOL,
@@ -17,7 +20,7 @@ from entwalk.core import (
     _unitarity_defect,
     state_norm,
 )
-from entwalk.shifts import DisplacementTable, build_shift
+from entwalk.shifts import SHIFT_PRESETS, DisplacementTable, build_shift
 from oracles import haar_unitary
 from states import site_state
 
@@ -100,6 +103,61 @@ def test_every_entry_point_refuses_a_register_size_with_one_message(tmp_path, ca
         assert run(str(cfg), quiet=True) == EXIT_VALIDATION
         message = capsys.readouterr().err.removeprefix("error: validation: ")
     assert message == f"{what} must be 2**q for a coin of q = 1..{MAX_QUBITS} qubits, got {size}\n"
+
+
+# Builder -> (its choice's noun, its presets, what it builds, its custom
+# data's noun, a call with a name and custom data, a valid custom datum).
+PRESET_CALLS = {
+    "build_initial_coin": ("coin preset", sorted(COIN_PRESETS), "coin state", "amplitudes",
+                           build_initial_coin, (1, 0)),
+    "build_coin_operator": ("coin operator kind", ["hadamard_n", "y_n"], "coin operator", "a matrix",
+                            lambda name, data=None: build_coin_operator(name, 2, data), np.eye(2)),
+    "build_shift": ("shift preset", sorted(SHIFT_PRESETS), "shift", "a displacement table",
+                    build_shift, (1, -1)),
+}
+
+
+@pytest.mark.parametrize("builder", PRESET_CALLS)
+def test_every_builder_resolves_preset_or_custom_by_one_rule(builder):
+    what, presets, built, needs, call, data = PRESET_CALLS[builder]
+    call("custom", data)
+    with pytest.raises(ValueError) as refused:
+        call("bogus", data)
+    assert str(refused.value) == f"unknown {what} 'bogus'; expected one of {presets} or 'custom'"
+    with pytest.raises(ValueError) as refused:
+        call("custom")
+    assert str(refused.value) == f"custom {built} requires {needs}"
+    for name in presets:
+        call(name)
+        with pytest.raises(ValueError) as refused:
+            call(name, data)  # data beside a preset is refused, not dropped
+        assert str(refused.value) == f"{what} {name!r} takes no custom data; only 'custom' does"
+    assert COIN_OPERATOR_KINDS == ("hadamard_n", "y_n", "custom")
+
+
+def test_every_exported_name_resolves():
+    modules = [entwalk] + [importlib.import_module(f"entwalk.{m.name}")
+                           for m in pkgutil.iter_modules(entwalk.__path__)]
+    assert len(modules) == 7
+    for module in modules:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names {missing}"
+
+
+def test_coin_state_and_operator_compare_and_hash_by_value():
+    a, b = build_initial_coin("phi_plus"), build_initial_coin("phi_plus")
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != build_initial_coin("phi_minus")
+    assert a != CoinState([1, 0, 0, 0]) and CoinState([1, 0]) != CoinState([1, 0, 0, 0])
+    # -0.0 == 0.0 though their bytes differ, so the hash must not read bytes
+    neg, pos = CoinState([complex(-0.0, -0.0), 1]), CoinState([0, 1])
+    assert neg.amplitudes.tobytes() != pos.amplitudes.tobytes()
+    assert neg == pos and hash(neg) == hash(pos)
+    h, y = build_coin_operator("hadamard_n", 2), build_coin_operator("hadamard_n", 2)
+    assert h == y and hash(h) == hash(y) and h != build_coin_operator("y_n", 2)
+    assert CoinOperator(np.eye(2)) != CoinOperator(np.eye(4)) and CoinOperator(np.eye(2)) != CoinState([1, 0])
+    neg_eye = CoinOperator(np.array([[1, -0.0], [-0.0, 1]]))
+    assert neg_eye == CoinOperator(np.eye(2)) and hash(neg_eye) == hash(CoinOperator(np.eye(2)))
 
 
 def test_coin_state_amplitudes_are_read_only():

@@ -89,6 +89,33 @@ def test_initial_position_offset():
     assert d[4] == pytest.approx(0.5, abs=1e-12)
 
 
+def _starting_at(pos, shift="s_2d"):
+    cfg = make_config("ghz3" if shift == "s_2d" else "phi_plus", "hadamard_n", shift, 1)
+    return WalkConfig(coin_state=cfg.coin_state, coin_op=cfg.coin_op, shift=cfg.shift, steps=1,
+                      initial_position=pos).initial_position
+
+
+def test_initial_position_takes_numpy_integers():
+    assert _starting_at(np.array([3, -4])) == (3, -4) and _starting_at([np.int8(1), 2]) == (1, 2)
+    assert type(_starting_at(np.array([3, -4]))[0]) is int
+    assert _starting_at(np.int64(4), "s_ec") == (4,)
+
+
+def test_initial_position_refuses_floats_and_strings():
+    for bad in ((2.9, 0), (2, 0.0), "12", ("1", "2")):
+        with pytest.raises(ValueError, match="initial position must be an int or a sequence of ints"):
+            _starting_at(bad)
+    for bad in ((2.9,), 2.0):
+        with pytest.raises(ValueError, match="initial position must be an int or a sequence of ints"):
+            _starting_at(bad, "s_ec")
+
+
+def test_walk_configs_built_from_equal_parts_are_equal():
+    a, b = make_config("ghz3", "y_n", "s_2d", 7), make_config("ghz3", "y_n", "s_2d", 7)
+    assert a == b and hash(a) == hash(b)
+    assert a != make_config("ghz3", "hadamard_n", "s_2d", 7) and a != make_config("ghz3", "y_n", "s_2d", 8)
+
+
 def test_one_step_splits_bell_state_symmetrically():
     cfg = make_config("phi_plus", "hadamard_n", "s_ec", 0)
     s = step(initial_state(cfg), cfg.coin_op, cfg.shift)

@@ -66,6 +66,18 @@ def test_custom_table_rejects_bad_shapes():
         build_shift("s_bogus")
 
 
+def test_custom_table_takes_numpy_integers():
+    assert build_shift("custom", np.array([1, 0, 0, -1])) == build_shift("s_ec")
+    assert build_shift("custom", np.array([[1, 0], [0, -1]])).table == ((1, 0), (0, -1))
+    assert build_shift("custom", [np.int32(2), np.int64(-2)]).table == ((2,), (-2,))
+
+
+def test_custom_table_refuses_floats_and_strings():
+    for bad in ([1.5, 0, 0, -1], [1, 0, 0, -1.0], [(1, 0.5), (0, -1)], ["1", 0], [1, "0"], [(1, "0"), (0, -1)]):
+        with pytest.raises(ValueError, match="displacement must be an int or a sequence of ints"):
+            build_shift("custom", bad)
+
+
 def test_apply_shift_moves_basis_amplitude():
     state = site_state(1, 2, {(0,): [1, 0, 0, 0]})
     moved = apply_shift(state, build_shift("s_ec"))
