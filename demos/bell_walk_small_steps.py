@@ -25,6 +25,12 @@ def as_fraction(p: float) -> str:
     return str(Fraction(p).limit_denominator(1024)) if p else "."
 
 
+def cells(dist, span) -> str:
+    (positions,) = dist.labels([dist.offsets[0].tolist()])
+    probs = dict(zip(positions, dist.values.tolist()))
+    return "".join(f"{as_fraction(probs.get(k, 0.0)):>7}" for k in span)
+
+
 def main() -> None:
     coin = build_initial_coin("phi_plus")
     op = build_coin_operator("hadamard_n", 2)
@@ -38,17 +44,13 @@ def main() -> None:
     print(header)
     for n in range(max_steps + 1):
         cfg = WalkConfig(coin_state=coin, coin_op=op, shift=shift, steps=n)
-        dist = position_distribution(evolve(cfg))
-        cells = "".join(f"{as_fraction(dist[k]):>7}" for k in span)
-        print(f"  n={n} {cells}")
+        print(f"  n={n} {cells(position_distribution(evolve(cfg)), span)}")
 
     print()
     print("classical fair +-1 walk for contrast (parity-locked support)")
     print(header)
     for n in range(max_steps + 1):
-        dist = binomial_walk_distribution(n, 0.5)
-        cells = "".join(f"{as_fraction(dist[k]):>7}" for k in span)
-        print(f"  n={n} {cells}")
+        print(f"  n={n} {cells(binomial_walk_distribution(n, 0.5), span)}")
 
 
 if __name__ == "__main__":

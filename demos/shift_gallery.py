@@ -22,11 +22,12 @@ STEPS = 30
 
 
 def summarize(dist) -> str:
-    pairs = dist.items_sorted()
-    mean = sum(k * p for k, p in pairs)
-    var = sum((k - mean) ** 2 * p for k, p in pairs)
-    lo, hi = pairs[0][0], pairs[-1][0]
-    return f"support [{lo:>4}, {hi:>4}]  P(0) = {dist[0]:.4f}  std = {var**0.5:6.2f}"
+    (positions,) = dist.labels([dist.offsets[0].tolist()])
+    probs = dict(zip(positions, dist.values.tolist()))
+    mean = sum(k * p for k, p in probs.items())
+    var = sum((k - mean) ** 2 * p for k, p in probs.items())
+    lo, hi = min(probs), max(probs)
+    return f"support [{lo:>4}, {hi:>4}]  P(0) = {probs.get(0, 0.0):.4f}  std = {var**0.5:6.2f}"
 
 
 def main() -> None:
@@ -63,10 +64,12 @@ def main() -> None:
     )
     state = evolve(cfg)
     dist = position_distribution(state)
-    print(f"  sites occupied: {len(dist.support())}, norm {state_norm(state):.12f}")
+    print(f"  sites occupied: {len(dist.values)}, norm {state_norm(state):.12f}")
 
+    # the rows are in (x, y) order, so each x sums its sites in ascending y
+    xs, _ = dist.labels([off.tolist() for off in dist.offsets])
     marginal: dict[int, float] = {}
-    for (x, _), p in dist.items_sorted():
+    for x, p in zip(xs, dist.values.tolist()):
         marginal[x] = marginal.get(x, 0.0) + p
     peak = max(marginal.values())
     print("  x-marginal:")

@@ -158,7 +158,11 @@ class ExperimentConfig:
             )
         if self.steps < 0:
             raise ValidationError(f"steps must be nonnegative, got {self.steps}")
+        if self.output_path == "":
+            raise ValidationError("output is empty; omit the key to write to stdout")
         if self.positions is not None:
+            if not self.positions:
+                raise ValidationError("positions is empty; omit the key for the union of both supports")
             ordered = sorted(self.positions)
             repeated = sorted({a for a, b in zip(ordered, ordered[1:]) if a == b})
             if repeated:
@@ -504,11 +508,9 @@ def _run_classical(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
 def _run_compare(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
     qdist, norm = _quantum_walk(cfg)
     cdist = _classical_distribution(cfg.classical)
-    if cfg.positions is not None:
-        labels = sorted(cfg.positions)
-    else:
-        labels = sorted(set(qdist.support()) | set(cdist.support()))
-    values = [[qdist[k] for k in labels], [cdist[k] for k in labels]]
+    probs = [dict(zip(*d.labels([d.offsets[0].tolist()]), d.values.tolist())) for d in (qdist, cdist)]
+    labels = sorted(cfg.positions if cfg.positions is not None else probs[0].keys() | probs[1].keys())
+    values = [[p.get(k, 0.0) for k in labels] for p in probs]
     meta = {
         "mode": cfg.mode,
         "steps": cfg.steps,

@@ -314,10 +314,9 @@ def state_norm(state: WalkState) -> float:
 
 
 class Distribution:
-    """Probability assignment over lattice positions or coin basis indices.
+    """Probability assignment over the positions of a 1D or 2D walk.
 
-    Labels are ints for 1D positions and coin indices, ``(x, y)`` tuples for
-    2D positions.  Entries must be nonnegative and sum to 1 within 1e-10.
+    Entries must be nonnegative and sum to 1 within 1e-10.
 
     The walks build one from their support held as arrays,
     ``Distribution(origin=..., offsets=..., values=..., step=...)``: per
@@ -326,14 +325,12 @@ class Distribution:
     window indices; the rows are in ascending (in 2D lexicographic) order,
     and ``values`` holds their float64 probabilities.  Row k's label is
     ``origin[a] + step[a] * offsets[a][k]`` on each axis a, computed only by
-    :meth:`labels`, exact in Python ints at any size.  The ``probs`` dict is
-    built when something first reads it.
+    :meth:`labels`, exact in Python ints at any size.
     """
 
-    __slots__ = ("origin", "step", "offsets", "values", "_probs")
+    __slots__ = ("origin", "step", "offsets", "values")
 
     def __init__(self, *, origin, offsets, values, step=None):
-        self._probs = None
         self.origin, self.offsets = tuple(origin), tuple(offsets)
         self.step = (1,) * len(self.origin) if step is None else tuple(step)
         self.values = np.asarray(values, dtype=np.float64)
@@ -353,33 +350,3 @@ class Distribution:
         ``origin + step * offset``, as a lazy iterator of Python ints."""
         return [map(o.__add__, off if s == 1 else map(s.__mul__, off))
                 for o, s, off in zip(self.origin, self.step, offsets)]
-
-    @property
-    def probs(self) -> dict:
-        """``{label: probability}`` over the support."""
-        if self._probs is None:
-            axes = self.labels([off.tolist() for off in self.offsets])
-            labels = axes[0] if len(axes) == 1 else zip(*axes)
-            self._probs = dict(zip(labels, self.values.tolist()))
-        return self._probs
-
-    def __getitem__(self, label) -> float:
-        key = tuple(label) if isinstance(label, (tuple, list)) else label
-        return self.probs.get(key, 0.0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Distribution):
-            return NotImplemented
-        return self.probs == other.probs
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"Distribution({self.probs!r})"
-
-    def items_sorted(self) -> list:
-        """(label, probability) pairs sorted ascending by label."""
-        return sorted(self.probs.items())
-
-    def support(self) -> list:
-        return sorted(self.probs)

@@ -244,8 +244,8 @@ def evolve(cfg: WalkConfig) -> WalkState:
 def position_distribution(state: WalkState) -> Distribution:
     """Marginal over the coin: P(pos) = sum_c |amplitude(pos, c)|^2.
 
-    The support is the sites with any nonzero coin component.  1D positions
-    are labeled by plain ints, 2D positions by (x, y) tuples.
+    The support is the sites with any nonzero coin component, held as the
+    window indices of the state's window; see :class:`entwalk.core.Distribution`.
     """
     sites = state.amplitudes
     window = sites.window

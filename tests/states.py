@@ -1,14 +1,16 @@
-"""Walk states for the tests, written as ``{position: coin vector}`` sites.
+"""Walk states and distributions for the tests, written as dicts by position.
 
-A ``WalkState`` is built from a window only; :func:`site_state` packs the
-sites into their bounding box and hands that window over.
+A ``WalkState`` is built from a window only; :func:`site_state` packs
+``{position: coin vector}`` sites into their bounding box and hands that
+window over.  A ``Distribution`` holds label and value arrays only;
+:func:`probs` reads them back as ``{position: probability}``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from entwalk.core import SiteAmplitudes, WalkState
+from entwalk.core import Distribution, SiteAmplitudes, WalkState
 
 
 def site_state(dims: int, qubits: int, sites: dict) -> WalkState:
@@ -20,3 +22,10 @@ def site_state(dims: int, qubits: int, sites: dict) -> WalkState:
     for key, vec in zip(keys, sites.values()):
         window[(slice(None), *(x - o for x, o in zip(key, lo)))] = vec
     return WalkState(dims=dims, qubits=qubits, amplitudes=SiteAmplitudes(window, lo))
+
+
+def probs(dist: Distribution) -> dict:
+    """``{position: probability}`` over ``dist``'s support, in its row order:
+    an int position in 1D, an ``(x, y)`` tuple in 2D."""
+    axes = dist.labels([off.tolist() for off in dist.offsets])
+    return dict(zip(axes[0] if len(axes) == 1 else zip(*axes), dist.values.tolist()))

@@ -30,6 +30,7 @@ from entwalk.core import state_norm
 from entwalk.engine import WalkConfig, evolve, initial_state, position_distribution, step
 from entwalk.shifts import SHIFT_PRESETS, build_shift
 from oracles import dense_evolve, gram_entropy
+from states import probs
 
 
 def announce(capsys, number, title, failures, detail=""):
@@ -109,21 +110,21 @@ def test_criterion_1_small_step_distributions(capsys):
     dists, elapsed = timed_best_of(run_all)
 
     for n, expected in QUANTUM_SMALL_STEPS.items():
-        d = dists[("q", n)]
-        check(failures, set(d.support()) == set(expected), f"quantum step {n}: wrong support")
+        d = probs(dists[("q", n)])
+        check(failures, set(d) == set(expected), f"quantum step {n}: wrong support")
         for k, frac in expected.items():
             check(
                 failures,
-                abs(d[k] - float(frac)) <= 1e-12,
-                f"quantum step {n} P({k}) = {d[k]!r}, expected {frac}",
+                abs(d.get(k, 0.0) - float(frac)) <= 1e-12,
+                f"quantum step {n} P({k}) = {d.get(k, 0.0)!r}, expected {frac}",
             )
     for n, expected in CLASSICAL_SMALL_STEPS.items():
-        d = dists[("c", n)]
+        d = probs(dists[("c", n)])
         for k, frac in expected.items():
             check(
                 failures,
-                abs(d[k] - float(frac)) <= 1e-12,
-                f"classical step {n} P({k}) = {d[k]!r}, expected {frac}",
+                abs(d.get(k, 0.0) - float(frac)) <= 1e-12,
+                f"classical step {n} P({k}) = {d.get(k, 0.0)!r}, expected {frac}",
             )
     check(failures, elapsed < 1e-3, f"runtime {elapsed * 1e3:.3f} ms >= 1 ms")
     announce(
@@ -139,8 +140,9 @@ def test_criterion_2_binomial_center_anchor(capsys):
     failures = []
     binomial_walk_distribution(100, 0.5)  # warm
     d, elapsed = timed_best_of(lambda: binomial_walk_distribution(100, 0.5))
+    d = probs(d)
     check(failures, abs(d[0] - 0.0795) <= 1e-3, f"P(0) = {d[0]!r}, expected 0.0795 +- 1e-3")
-    odd_weight = [d[k] for k in range(-99, 100, 2) if d[k] != 0.0]
+    odd_weight = [d[k] for k in range(-99, 100, 2) if d.get(k, 0.0) != 0.0]
     check(failures, not odd_weight, f"odd positions carry probability: {odd_weight[:3]}")
     check(failures, elapsed < 1e-2, f"runtime {elapsed * 1e3:.2f} ms >= 10 ms")
     announce(
@@ -159,6 +161,7 @@ def test_criterion_3_hundred_step_center_anchors(capsys):
         t0 = time.perf_counter()
         d = position_distribution(evolve(bell_walk_config(op_kind, 100)))
         elapsed = time.perf_counter() - t0
+        d = probs(d)
         check(
             failures,
             abs(d[0] - anchor) <= 1e-4,
@@ -175,8 +178,8 @@ TAIL_ANCHORS_CLASSICAL = {40: 2.31e-5, 50: 1.91e-7, 60: 4.22e-10, 70: 1.99e-13}
 
 def test_criterion_4_tail_probabilities(capsys):
     failures = []
-    quantum = position_distribution(evolve(bell_walk_config("hadamard_n", 100)))
-    classical = binomial_walk_distribution(100, 0.5)
+    quantum = probs(position_distribution(evolve(bell_walk_config("hadamard_n", 100))))
+    classical = probs(binomial_walk_distribution(100, 0.5))
     for pos, anchor in TAIL_ANCHORS_QUANTUM.items():
         rel = abs(quantum[pos] - anchor) / anchor
         check(
@@ -240,7 +243,7 @@ def test_criterion_6_rest_state_fixed_point(capsys):
         worst = 0.0
         for n in range(1, 101):
             state = step(state, cfg.coin_op, cfg.shift)
-            p0 = position_distribution(state)[0]
+            p0 = probs(position_distribution(state)).get(0, 0.0)
             worst = max(worst, abs(p0 - 1.0))
         check(
             failures,
@@ -287,8 +290,8 @@ def test_criterion_7_oracle_equivalence_and_large_n_properties(capsys):
     norm200 = state_norm(evolve(bell_walk_config("hadamard_n", 200)))
     check(failures, abs(norm200 - 1.0) <= 1e-10, f"norm at N=200 is {norm200!r}")
 
-    d100 = position_distribution(evolve(bell_walk_config("hadamard_n", 100)))
-    asym = max(abs(d100[k] - d100[-k]) for k in range(101))
+    d100 = probs(position_distribution(evolve(bell_walk_config("hadamard_n", 100))))
+    asym = max(abs(d100.get(k, 0.0) - d100.get(-k, 0.0)) for k in range(101))
     check(failures, asym <= 1e-12, f"N=100 symmetry defect {asym:.2e}")
 
     t0 = time.perf_counter()
@@ -311,10 +314,10 @@ def test_criterion_8_correlated_pair_equals_binomial(capsys):
     pair = JointCoinDistribution.from_correlation(1.0)
     worst = 0.0
     for n in range(1, 201):
-        walked = correlated_walk_distribution(n, pair, DEFAULT_MOVES)
-        exact = binomial_walk_distribution(n, 0.5)
-        for k in set(walked.support()) | set(exact.support()):
-            worst = max(worst, abs(walked[k] - exact[k]))
+        walked = probs(correlated_walk_distribution(n, pair, DEFAULT_MOVES))
+        exact = probs(binomial_walk_distribution(n, 0.5))
+        for k in walked.keys() | exact.keys():
+            worst = max(worst, abs(walked.get(k, 0.0) - exact.get(k, 0.0)))
         if worst > 1e-12:
             check(failures, False, f"n = {n}: max deviation {worst:.2e}")
             break

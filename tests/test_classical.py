@@ -17,6 +17,7 @@ from entwalk.classical import (
 )
 from entwalk.shifts import _STEP_OVERHEAD, DisplacementTable, build_shift
 from oracles import enumerated_endpoint_distribution, exact_binomial_walk
+from states import probs
 
 FAIR_CORRELATED = JointCoinDistribution.from_correlation(1.0)
 FAIR_INDEPENDENT = JointCoinDistribution(0.25, 0.25, 0.25, 0.25)
@@ -46,52 +47,52 @@ def test_from_correlation_fair_marginals():
 
 
 def test_binomial_three_steps_exact():
-    d = binomial_walk_distribution(3, 0.5)
+    d = probs(binomial_walk_distribution(3, 0.5))
     assert d[3] == pytest.approx(1 / 8, abs=1e-15)
     assert d[1] == pytest.approx(3 / 8, abs=1e-15)
     assert d[-1] == pytest.approx(3 / 8, abs=1e-15)
     assert d[-3] == pytest.approx(1 / 8, abs=1e-15)
-    assert d[0] == 0.0
-    assert d[2] == 0.0
+    assert d.get(0, 0.0) == 0.0
+    assert d.get(2, 0.0) == 0.0
 
 
 def test_binomial_hundred_steps_center():
-    d = binomial_walk_distribution(100, 0.5)
+    d = probs(binomial_walk_distribution(100, 0.5))
     assert d[0] == pytest.approx(0.0795, abs=1e-3)
-    assert all(d[k] == 0.0 for k in range(-99, 100, 2))
+    assert all(d.get(k, 0.0) == 0.0 for k in range(-99, 100, 2))
 
 
 def test_binomial_zero_steps():
-    d = binomial_walk_distribution(0, 0.3)
+    d = probs(binomial_walk_distribution(0, 0.3))
     assert d[0] == 1.0
 
 
 def test_binomial_biased():
-    d = binomial_walk_distribution(2, 1.0)
+    d = probs(binomial_walk_distribution(2, 1.0))
     assert d[2] == 1.0
-    assert d.support() == [2]
-    d = binomial_walk_distribution(2, 0.0)
+    assert sorted(d) == [2]
+    d = probs(binomial_walk_distribution(2, 0.0))
     assert d[-2] == 1.0
-    assert d.support() == [-2]
+    assert sorted(d) == [-2]
 
 
 @pytest.mark.parametrize("n", [1, 7, 50, 200, 1100, 2000])
 def test_binomial_matches_exact_fractions(n):
     # from n ~ 1075 on the tails underflow float64 and leave the support
-    d = binomial_walk_distribution(n, 0.5)
+    d = probs(binomial_walk_distribution(n, 0.5))
     exact = exact_binomial_walk(n, Fraction(1, 2))
     for k, frac in exact.items():
-        assert d[k] == pytest.approx(float(frac), abs=1e-15)
-    assert d.support() == sorted(k for k, frac in exact.items() if float(frac) > 0)
-    assert sum(p for _, p in d.items_sorted()) == pytest.approx(1.0, abs=1e-12)
+        assert d.get(k, 0.0) == pytest.approx(float(frac), abs=1e-15)
+    assert sorted(d) == sorted(k for k, frac in exact.items() if float(frac) > 0)
+    assert sum(d.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_binomial_ten_thousand_steps():
     # spot checks only: the full rational oracle is far too slow at this size
     n = 10_000
-    d = binomial_walk_distribution(n, 0.5)
-    assert math.fsum(p for _, p in d.items_sorted()) == pytest.approx(1.0, abs=1e-12)
-    assert all((k + n) % 2 == 0 for k in d.support())
+    d = probs(binomial_walk_distribution(n, 0.5))
+    assert math.fsum(d.values()) == pytest.approx(1.0, abs=1e-12)
+    assert all((k + n) % 2 == 0 for k in d)
     for k in (0, 100, -100, 1000, -1000):
         exact = float(Fraction(math.comb(n, (k + n) // 2), 2**n))
         assert d[k] == pytest.approx(exact, rel=1e-11)
@@ -99,8 +100,8 @@ def test_binomial_ten_thousand_steps():
 
 @pytest.mark.parametrize("n", range(1, 51))
 def test_binomial_support_parity(n):
-    d = binomial_walk_distribution(n, 0.5)
-    assert all((k + n) % 2 == 0 for k in d.support())
+    d = probs(binomial_walk_distribution(n, 0.5))
+    assert all((k + n) % 2 == 0 for k in d)
 
 
 def test_binomial_rejects_bad_args():
@@ -156,7 +157,7 @@ def test_correlation_invariant_under_affine_encoding():
 
 
 def test_correlated_walk_zero_steps():
-    d = correlated_walk_distribution(0, FAIR_INDEPENDENT)
+    d = probs(correlated_walk_distribution(0, FAIR_INDEPENDENT))
     assert d[0] == 1.0
 
 
@@ -165,7 +166,7 @@ def test_default_moves_are_the_entangled_coin_shift():
 
 
 def test_correlated_walk_two_steps_independent_fair():
-    d = correlated_walk_distribution(2, FAIR_INDEPENDENT, moves(1, 0, 0, -1))
+    d = probs(correlated_walk_distribution(2, FAIR_INDEPENDENT, moves(1, 0, 0, -1)))
     assert d[0] == pytest.approx(3 / 8, abs=1e-15)
     assert d[1] == pytest.approx(1 / 4, abs=1e-15)
     assert d[-1] == pytest.approx(1 / 4, abs=1e-15)
@@ -175,11 +176,10 @@ def test_correlated_walk_two_steps_independent_fair():
 
 @pytest.mark.parametrize("n", list(range(1, 11)) + [50, 100, 200])
 def test_correlated_rho_one_equals_binomial(n):
-    d = correlated_walk_distribution(n, FAIR_CORRELATED, DEFAULT_MOVES)
-    b = binomial_walk_distribution(n, 0.5)
-    keys = set(d.support()) | set(b.support())
-    for k in keys:
-        assert abs(d[k] - b[k]) <= 1e-12
+    d = probs(correlated_walk_distribution(n, FAIR_CORRELATED, DEFAULT_MOVES))
+    b = probs(binomial_walk_distribution(n, 0.5))
+    for k in d.keys() | b.keys():
+        assert abs(d.get(k, 0.0) - b.get(k, 0.0)) <= 1e-12
 
 
 @settings(deadline=None, max_examples=25)
@@ -196,12 +196,12 @@ def test_correlated_walk_matches_enumeration(n, x, y):
     p_tt = (1.0 - y) * 0.5
     j = JointCoinDistribution(p_hh, p_ht, p_th, p_tt)
     move_map = {"hh": 2, "ht": 0, "th": -1, "tt": 1}
-    d = correlated_walk_distribution(n, j, moves(*(move_map[o] for o in OUTCOMES)))
+    d = probs(correlated_walk_distribution(n, j, moves(*(move_map[o] for o in OUTCOMES))))
     expected = enumerated_endpoint_distribution(
         n, {"hh": p_hh, "ht": p_ht, "th": p_th, "tt": p_tt}, move_map
     )
     for k, p in expected.items():
-        assert d[k] == pytest.approx(p, abs=1e-12)
+        assert d.get(k, 0.0) == pytest.approx(p, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -227,7 +227,7 @@ def test_correlated_walk_scaled_moves_scale_positions():
     j = JointCoinDistribution.from_correlation(0.5)
     scaled = correlated_walk_distribution(100, j, moves(10**6, 0, 0, -(10**6)))
     unit = correlated_walk_distribution(100, j, DEFAULT_MOVES)
-    assert scaled.probs == {k * 10**6: p for k, p in unit.probs.items()}
+    assert probs(scaled) == {k * 10**6: p for k, p in probs(unit).items()}
     assert (scaled.origin, scaled.step) == ((-(10**8),), (10**6,))
     assert scaled.offsets[0].tolist() == unit.offsets[0].tolist()
 

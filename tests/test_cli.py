@@ -32,6 +32,7 @@ from entwalk.core import Distribution
 from entwalk.engine import WalkConfig, evolve, position_distribution
 from entwalk.shifts import build_shift
 from oracles import exact_binomial_walk
+from states import probs
 
 QUANTUM_BASE = """
 [experiment]
@@ -70,7 +71,7 @@ def bell_distribution(steps):
         shift=build_shift("s_ec"),
         steps=steps,
     )
-    return position_distribution(evolve(cfg))
+    return probs(position_distribution(evolve(cfg)))
 
 
 def test_quantum_csv_golden_rows(tmp_path):
@@ -109,8 +110,8 @@ def test_json_round_trip(tmp_path):
     assert doc["config"]["experiment"]["coin"] == "phi_plus"
     reloaded = {label: p for label, p in doc["distribution"]}
     direct = bell_distribution(25)
-    assert list(reloaded) == direct.support()
-    for label in direct.support():
+    assert list(reloaded) == sorted(direct)
+    for label in sorted(direct):
         assert reloaded[label] == pytest.approx(direct[label], rel=1e-12)
 
 
@@ -160,22 +161,40 @@ def test_walk_far_past_int64_keeps_its_labels(tmp_path, fmt, expected):
     assert out.read_text() == expected
 
 
+# How a compare table's rows are chosen -> (its keys, its rows).  Both walks
+# start at the origin.
+FAR_COMPARES = {
+    # the far labels come from positions
+    "positions": (
+        f"positions = {HUGE + 2} 0 {-HUGE} {HUGE} 2\n[classical]\nmodel = binomial\nn = 2\n",
+        [[-HUGE, 0, 0], [0, 0.25, 0.5], [2, 0.125, 0.25], [HUGE, 0, 0], [HUGE + 2, 0, 0]],
+    ),
+    # no positions: the rows are both supports, and the classical moves pass int64
+    "supports": (
+        f"[classical]\nmodel = correlated\nrho = 0.5\nn = 2\nmoves = hh:{HUGE}, ht:0, th:0, tt:{-HUGE}\n",
+        [
+            [-2 * HUGE, 0, 0.140625], [-HUGE, 0, 0.1875], [-2, 0.125, 0], [-1, 0.25, 0], [0, 0.25, 0.34375],
+            [1, 0.25, 0], [2, 0.125, 0], [HUGE, 0, 0.1875], [2 * HUGE, 0, 0.140625],
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("rows_from", FAR_COMPARES)
 @pytest.mark.parametrize(
     "fmt,sep,header",
     [("csv", ",", "position,quantum,classical"), ("gnuplot", " ", "# position quantum classical")],
     ids=["csv", "gnuplot"],
 )
-def test_compare_far_past_int64_keeps_its_labels(tmp_path, fmt, sep, header):
-    # both walks start at the origin; the far labels come from positions
+def test_compare_far_past_int64_keeps_its_labels(tmp_path, fmt, sep, header, rows_from):
+    keys, rows = FAR_COMPARES[rows_from]
     out = tmp_path / "cmp.out"
     cfg = write_config(
         tmp_path,
         "[experiment]\nmode = compare\ncoin = phi_plus\ncoin_operator = hadamard_n\n"
-        f"shift = s_ec\nsteps = 2\npositions = {HUGE + 2} 0 {-HUGE} {HUGE} 2\n"
-        f"output_format = {fmt}\noutput = {out}\n[classical]\nmodel = binomial\nn = 2\n",
+        f"shift = s_ec\nsteps = 2\noutput_format = {fmt}\noutput = {out}\n" + keys,
     )
     assert run(cfg, quiet=True) == EXIT_OK
-    rows = [[-HUGE, 0, 0], [0, 0.25, 0.5], [2, 0.125, 0.25], [HUGE, 0, 0], [HUGE + 2, 0, 0]]
     assert out.read_text() == "".join(
         sep.join(str(x) for x in row) + "\n" for row in [[header]] + rows
     )
@@ -262,8 +281,8 @@ def test_classical_correlated_mode(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["metadata"]["model"] == "correlated"
     got = {label: p for label, p in doc["distribution"]}
-    expected = binomial_walk_distribution(60, 0.5)
-    for k in expected.support():
+    expected = probs(binomial_walk_distribution(60, 0.5))
+    for k in sorted(expected):
         assert got[k] == pytest.approx(expected[k], abs=1e-12)
 
 
@@ -439,7 +458,7 @@ p = 0.5
     assert run(cfg, quiet=True) == EXIT_OK
     doc = json.loads(cmp_out.read_text())
     quantum = bell_distribution(100)
-    classical = binomial_walk_distribution(100, 0.5)
+    classical = probs(binomial_walk_distribution(100, 0.5))
     assert [row[0] for row in doc["comparison"]] == [40, 50, 60, 70]
     for pos, q, c in doc["comparison"]:
         assert q == pytest.approx(quantum[pos], rel=1e-12)
@@ -605,6 +624,19 @@ def test_batch_outputs_suffixed_and_layered(tmp_path):
     assert run(ref, quiet=True) == EXIT_OK
     assert two == single.read_text()
     assert one.splitlines()[1:] == ["-1,0.5", "1,0.5"]
+
+
+@pytest.mark.parametrize(
+    "jobs", ["", "\n[experiment.1]\n\n[experiment.2]\nsteps = 2\n"], ids=["single", "batch"]
+)
+def test_an_empty_output_is_refused(tmp_path, capsys, monkeypatch, jobs):
+    # an empty name is no file: a single job walked and then failed to open
+    # it, and a batch wrote the dotfiles .1, .2 into the working directory
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, QUANTUM_BASE.format(steps=1, fmt="csv", out="") + jobs)
+    assert run(cfg, quiet=True) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: validation: output is empty; omit the key to write to stdout\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["exp.ini"]
 
 
 def test_override_experiment_and_classical_keys(tmp_path):
@@ -796,6 +828,11 @@ VALIDATION_ERRORS = {
         "positions must be distinct, got [2] more than once",
     "[experiment]\nmode = compare\npositions = 3 -1 3 0 -1\n":
         "positions must be distinct, got [-1, 3] more than once",
+    # an empty table is no request: omitting the key lists both supports
+    "[experiment]\nmode = compare\npositions =\n":
+        "positions is empty; omit the key for the union of both supports",
+    "[experiment]\nmode = compare\npositions = ,\n":
+        "positions is empty; omit the key for the union of both supports",
     "[experiment]\nmode = compare\ninitial_position = 5\n":  # the classical walk starts at 0
         "compare mode starts both walks at the origin, got initial_position = 5",
     "[experiment]\nmode = quantum\nshift = custom\nshift_table = 0 0 0 0\nsteps = 3000000\n":

@@ -22,7 +22,7 @@ from entwalk.core import (
 )
 from entwalk.shifts import SHIFT_PRESETS, DisplacementTable, build_shift
 from oracles import haar_unitary
-from states import site_state
+from states import probs, site_state
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
 HADAMARD = np.array([[SQRT1_2, SQRT1_2], [SQRT1_2, -SQRT1_2]])
@@ -329,9 +329,9 @@ def _line(origin, offsets, values, step=1):
 
 
 def test_distribution_validates_sum_and_sign():
-    d = _line(-1, [0, 2], [0.5, 0.5])
+    d = probs(_line(-1, [0, 2], [0.5, 0.5]))
     assert d[-1] == 0.5
-    assert d[7] == 0.0
+    assert d.get(7, 0.0) == 0.0
     with pytest.raises(ValueError, match="sum"):
         _line(0, [0], [0.5])
     with pytest.raises(ValueError, match=r"invalid probability -0\.5 at 1$"):
@@ -348,15 +348,17 @@ def test_distribution_validates_sum_and_sign():
 
 def test_distribution_labels_its_rows_on_its_lattice():
     d = _line(-6, [0, 1, 2, 4], [0.25, 0.25, 0.25, 0.25], step=3)
-    assert d.support() == [-6, -3, 0, 6] and d[0] == 0.25 and d[3] == 0.0
+    read = probs(d)
+    assert sorted(read) == [-6, -3, 0, 6] and read[0] == 0.25 and read.get(3, 0.0) == 0.0
     assert [list(axis) for axis in d.labels([range(5)])] == [[-6, -3, 0, 3, 6]]
-    plane = Distribution(
+    plane = probs(Distribution(
         origin=(0, HUGE), step=(1, HUGE), offsets=(np.array([0, 1]), np.array([1, 0])), values=[0.5, 0.5]
-    )
-    assert plane.support() == [(0, 2 * HUGE), (1, HUGE)]
+    ))
+    assert sorted(plane) == [(0, 2 * HUGE), (1, HUGE)]
     assert plane[(1, HUGE)] == 0.5
-    # equal labels and probabilities make equal distributions, whatever the step
-    assert _line(-6, [0, 2], [0.5, 0.5], step=3) == _line(-6, [0, 6], [0.5, 0.5]) != _line(-6, [0, 2], [0.5, 0.5])
+    # equal labels and probabilities, whatever the step
+    assert (probs(_line(-6, [0, 2], [0.5, 0.5], step=3)) == probs(_line(-6, [0, 6], [0.5, 0.5]))
+            != probs(_line(-6, [0, 2], [0.5, 0.5])))
 
 
 def _walk_distribution(coin, op, shift, steps, start=None):
@@ -374,32 +376,27 @@ def _walk_distribution(coin, op, shift, steps, start=None):
     return position_distribution(evolve(cfg))
 
 
-def _check_api(d, labels, probs):
-    # every read of a distribution agrees with its sorted (label, probability) rows
-    assert d.values.tolist() == pytest.approx(probs, abs=1e-15)
-    probs = d.values.tolist()
-    assert list(d.probs) == labels
-    assert list(d.probs.values()) == probs
-    assert d.support() == labels
-    assert d.items_sorted() == list(zip(labels, probs))
-    for label, p in zip(labels, probs):
-        assert d[label] == p
-        assert type(d[label]) is float
-    assert all(type(x) is int for label in labels for x in (label if isinstance(label, tuple) else [label]))
+def _check_api(d, labels, values):
+    # a distribution's rows are its sorted labels, read as Python ints, with their probabilities
+    assert d.values.tolist() == pytest.approx(values, abs=1e-15)
+    read = probs(d)
+    assert list(read) == labels
+    assert list(read.values()) == d.values.tolist()
+    assert all(type(p) is float for p in read.values())
+    assert all(type(x) is int for label in read for x in (label if isinstance(label, tuple) else [label]))
 
 
 def test_distribution_from_the_engine_keeps_its_api():
     d = _walk_distribution("ghz3", "hadamard_n", "s_2d", 2)
     labels = [(-1, -1), (-1, 0), (0, -2), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 0)]
-    probs = [0.03125, 0.125, 0.03125, 0.25, 0.0625, 0.125, 0.0625, 0.25, 0.03125, 0.03125]
-    _check_api(d, labels, probs)
-    assert d[(5, 5)] == 0.0 and d[[0, -1]] == d[(0, -1)]
+    values = [0.03125, 0.125, 0.03125, 0.25, 0.0625, 0.125, 0.0625, 0.25, 0.03125, 0.03125]
+    _check_api(d, labels, values)
     # row k's label is origin + offsets[k], axis by axis
     rows = zip(*(off.tolist() for off in d.offsets))
     assert [tuple(map(sum, zip(d.origin, row))) for row in rows] == labels
     one_d = _walk_distribution("phi_plus", "hadamard_n", "s_ec", 1)
     _check_api(one_d, [-1, 1], [0.5, 0.5])
-    assert one_d[0] == 0.0
+    assert probs(one_d).get(0, 0.0) == 0.0
 
 
 def test_distribution_from_the_engine_far_past_int64():
@@ -407,7 +404,7 @@ def test_distribution_from_the_engine_far_past_int64():
     _check_api(d, [HUGE - 1, HUGE + 1], [0.5, 0.5])
     near = _walk_distribution("ghz3", "hadamard_n", "s_2d", 3)
     far = _walk_distribution("ghz3", "hadamard_n", "s_2d", 3, start=(HUGE, -HUGE))
-    _check_api(far, [(x + HUGE, y - HUGE) for x, y in near.support()], near.values.tolist())
+    _check_api(far, [(x + HUGE, y - HUGE) for x, y in probs(near)], near.values.tolist())
 
 
 def test_distribution_from_the_classical_walk_keeps_its_api():
@@ -423,4 +420,4 @@ def test_distribution_from_the_classical_walk_keeps_its_api():
     unit = correlated_walk_distribution(3, pair)
     for step in (10**6, HUGE):  # 10**6-site moves, and moves past int64
         scaled = correlated_walk_distribution(3, pair, build_shift("custom", [step, 0, 0, -step]))
-        _check_api(scaled, [k * step for k in unit.support()], unit.values.tolist())
+        _check_api(scaled, [k * step for k in probs(unit)], unit.values.tolist())

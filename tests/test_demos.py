@@ -3,7 +3,8 @@ script in this process, as ``python demos/<script>.py`` would run it, and
 each ``demos/*.ini`` config through ``entwalk.cli.run``.  The README's
 example config runs too, and the CI workflow loads as YAML.
 
-A demo config that a golden config pins prints the golden csv bytes:
+Every demo's stdout is pinned by its sha256.  A script's digest is written
+here; a demo config that a golden config pins prints the golden csv bytes:
 ``demos/compare_100.ini``, which the benchmark's ``paper_batch`` runs, is
 ``compare_positions`` of ``tests/golden/manifest.json``.
 """
@@ -25,6 +26,14 @@ DEMOS = sorted(DEMO_DIR.glob("*.py")) + sorted(DEMO_DIR.glob("*.ini"))
 # Demo config -> the golden config whose csv digest its stdout has.
 PINNED = {"compare_100.ini": "compare_positions"}
 
+# Demo script -> the sha256 of its stdout.
+SCRIPT_DIGESTS = {
+    "bell_walk_small_steps.py": "44c5122662193683c9806716ce806a2dbadc508f57b9634b6516ca5d220e5dfd",
+    "entropy_tour.py": "0790d14673a23577e598b9c1c1be2eecafcf0ca85cc4a21b662811429be04069",
+    "quantum_vs_classical.py": "b1dac3db21b2e27703672c82eeb6f592677459cc35880abb206f030b86fcee7c",
+    "shift_gallery.py": "cd70eed699fc89eabe44c04a0276de1346f9a5e124162200d1e0c0403f68f613",
+}
+
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_exits_0_and_prints(capsys, demo):
@@ -38,8 +47,10 @@ def test_demo_exits_0_and_prints(capsys, demo):
     out = capsys.readouterr().out
     assert out
     if demo.name in PINNED:
-        golden = json.loads(MANIFEST.read_text(encoding="utf-8"))[PINNED[demo.name]]["sha256"]["csv"]
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == golden
+        digest = json.loads(MANIFEST.read_text(encoding="utf-8"))[PINNED[demo.name]]["sha256"]["csv"]
+    else:
+        digest = SCRIPT_DIGESTS[demo.name]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_readme_example_config_runs(tmp_path, monkeypatch):
