@@ -1,7 +1,7 @@
 """Config-driven command line: run a walk described by an INI file and write
 its distribution in a machine- or plot-friendly format.
 
-Usage: ``entwalk run <config> [--override key=value ...] [--quiet]``
+Usage: ``entwalk run CONFIG [--override KEY=VALUE]... [--quiet]``
 
 The config file (UTF-8) has an ``[experiment]`` section (mode, presets,
 steps, output) and an optional ``[classical]`` section (binomial /
@@ -47,8 +47,8 @@ import os
 import stat
 import sys
 from collections import defaultdict
-from dataclasses import dataclass, field
 from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -61,7 +61,7 @@ from .classical import (
     correlated_walk_distribution,
 )
 from .coins import build_coin_operator, build_initial_coin, entanglement_entropy
-from .core import CoinState, Distribution, state_norm
+from .core import Distribution, state_norm
 from .engine import WalkConfig, evolve, position_distribution
 from .engine import check_walk_cost as check_quantum_walk_cost
 from .shifts import DisplacementTable, build_shift
@@ -71,8 +71,6 @@ __all__ = [
     "EXIT_OK",
     "EXIT_PARSE",
     "EXIT_VALIDATION",
-    "ClassicalParams",
-    "ExperimentConfig",
     "console_main",
     "emit_distribution",
     "run",
@@ -95,108 +93,6 @@ class ParseError(Exception):
 
 class ValidationError(Exception):
     """Well-formed config that violates a contract; maps to EXIT_VALIDATION."""
-
-
-@dataclass(frozen=True)
-class ClassicalParams:
-    """Parameters of the classical reference walk."""
-
-    model: str = "binomial"
-    n: int = 100
-    p: float = 0.5
-    rho: float = 1.0
-    moves: DisplacementTable = DEFAULT_MOVES
-    # Built, and so checked, with the params: the model's coin pair.
-    pair: JointCoinDistribution | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.model not in ("binomial", "correlated"):
-            raise ValidationError(
-                f"classical.model must be 'binomial' or 'correlated', got {self.model!r}"
-            )
-        if self.n < 0:
-            raise ValidationError(f"classical.n must be nonnegative, got {self.n}")
-        try:
-            if self.model == "binomial":
-                pair = JointCoinDistribution.from_bias(self.p)
-            else:
-                pair = JointCoinDistribution.from_correlation(self.rho)
-            object.__setattr__(self, "pair", pair)
-            check_walk_cost(self.n, self.moves if self.model == "correlated" else DEFAULT_MOVES)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from None
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved experiment description, independent of config syntax."""
-
-    mode: str
-    coin: str = "phi_plus"
-    coin_amplitudes: tuple | None = None
-    coin_operator: str = "hadamard_n"
-    coin_matrix: tuple | None = None
-    shift: str = "s_ec"
-    shift_table: tuple | None = None
-    steps: int = 100
-    initial_position: tuple | None = None
-    classical: ClassicalParams = field(default_factory=ClassicalParams)
-    output_format: str = "csv"
-    output_path: str | None = None
-    positions: tuple | None = None
-    cut: int | None = None
-    # Built, and so checked, with the config: quantum/compare's walk, entropy's coin.
-    walk: WalkConfig | None = field(default=None, init=False, repr=False, compare=False)
-    coin_state: CoinState | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.output_format not in OUTPUT_FORMATS:
-            raise ValidationError(
-                f"output_format must be one of {OUTPUT_FORMATS}, got {self.output_format!r}"
-            )
-        if self.steps < 0:
-            raise ValidationError(f"steps must be nonnegative, got {self.steps}")
-        if self.output_path == "":
-            raise ValidationError("output is empty; omit the key to write to stdout")
-        if self.positions is not None:
-            if not self.positions:
-                raise ValidationError("positions is empty; omit the key for the union of both supports")
-            ordered = sorted(self.positions)
-            repeated = sorted({a for a, b in zip(ordered, ordered[1:]) if a == b})
-            if repeated:
-                raise ValidationError(f"positions must be distinct, got {repeated} more than once")
-        try:
-            if self.mode in ("quantum", "compare"):
-                coin_state = build_initial_coin(self.coin, self.coin_amplitudes)
-                shift = build_shift(self.shift, self.shift_table)
-                coin_op = build_coin_operator(self.coin_operator, coin_state.qubits, self.coin_matrix)
-                walk = WalkConfig(
-                    coin_state=coin_state,
-                    coin_op=coin_op,
-                    shift=shift,
-                    steps=self.steps,
-                    initial_position=self.initial_position,
-                )
-                if self.mode == "compare" and shift.dims != 1:
-                    raise ValidationError("compare mode requires a 1D walk")
-                if self.mode == "compare" and walk.initial_position != (0,):
-                    raise ValidationError(
-                        "compare mode starts both walks at the origin, "
-                        f"got initial_position = {walk.initial_position[0]}"
-                    )
-                check_quantum_walk_cost(walk)
-                object.__setattr__(self, "walk", walk)
-            elif self.mode == "entropy":
-                coin_state = build_initial_coin(self.coin, self.coin_amplitudes)
-                if coin_state.qubits < 2:
-                    raise ValidationError("entropy mode requires a coin of at least two qubits")
-                if self.cut is not None and not 1 <= self.cut < coin_state.qubits:
-                    raise ValidationError(f"cut must lie in 1..{coin_state.qubits - 1}, got {self.cut}")
-                object.__setattr__(self, "coin_state", coin_state)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from None
 
 
 def _format_prob(p: float) -> str:
@@ -353,10 +249,7 @@ def _parse_shift_table(text: str, where: str):
             except ValueError:
                 raise ParseError(f"{where}: non-integer displacement {group!r}") from None
         return tuple(rows)
-    try:
-        return tuple(int(x) for x in text.split())
-    except ValueError:
-        raise ParseError(f"{where}: expected integers, got {text!r}") from None
+    return _parse_int_list(text, where)
 
 
 def _parse_moves(text: str, where: str) -> DisplacementTable:
@@ -405,36 +298,36 @@ _COIN_MODES = ("quantum", "compare", "entropy")
 _WALK_MODES = ("quantum", "compare")
 _CLASSICAL_MODES = ("classical", "compare")
 
-# Section -> config key -> (config field, value parser, the modes that read
-# the key, the (key, value) it is read beside or None).  A table names every
-# key its section accepts and parses values in its order, which picks the
-# error a config with several bad values reports: an unknown experiment key,
-# a missing mode, the classical section, then the experiment values.  A key
+# Section -> config key -> (value parser, default, the modes that read the
+# key, the (key, value) it is read beside or None).  A table names every key
+# its section accepts and parses values in its order, which picks the error
+# a config with several bad values reports: an unknown experiment key, a
+# missing mode, the classical section, then the experiment values.  A key
 # beside another value of its (key, value), given or by default, is refused
 # in every mode before its section's values are checked; a key that no job
 # reads is refused once every job is built (_assemble_jobs).
 _SECTIONS = {
     "experiment": {
-        "mode": ("mode", _parse_text, MODES, None),
-        "coin": ("coin", _parse_text, _COIN_MODES, None),
-        "coin_amplitudes": ("coin_amplitudes", _parse_complex_pairs, _COIN_MODES, ("coin", "custom")),
-        "coin_operator": ("coin_operator", _parse_text, _WALK_MODES, None),
-        "coin_matrix": ("coin_matrix", _parse_matrix, _WALK_MODES, ("coin_operator", "custom")),
-        "shift": ("shift", _parse_text, _WALK_MODES, None),
-        "shift_table": ("shift_table", _parse_shift_table, _WALK_MODES, ("shift", "custom")),
-        "steps": ("steps", _scalar(int), _WALK_MODES, None),
-        "initial_position": ("initial_position", _parse_int_list, _WALK_MODES, None),
-        "output_format": ("output_format", _parse_text, MODES, None),
-        "output": ("output_path", _parse_text, MODES, None),
-        "positions": ("positions", _parse_int_list, ("compare",), None),
-        "cut": ("cut", _scalar(int), ("entropy",), None),
+        "mode": (_parse_text, None, MODES, None),
+        "coin": (_parse_text, "phi_plus", _COIN_MODES, None),
+        "coin_amplitudes": (_parse_complex_pairs, None, _COIN_MODES, ("coin", "custom")),
+        "coin_operator": (_parse_text, "hadamard_n", _WALK_MODES, None),
+        "coin_matrix": (_parse_matrix, None, _WALK_MODES, ("coin_operator", "custom")),
+        "shift": (_parse_text, "s_ec", _WALK_MODES, None),
+        "shift_table": (_parse_shift_table, None, _WALK_MODES, ("shift", "custom")),
+        "steps": (_scalar(int), 100, _WALK_MODES, None),
+        "initial_position": (_parse_int_list, None, _WALK_MODES, None),
+        "output_format": (_parse_text, "csv", MODES, None),
+        "output": (_parse_text, None, MODES, None),
+        "positions": (_parse_int_list, None, ("compare",), None),
+        "cut": (_scalar(int), None, ("entropy",), None),
     },
     "classical": {
-        "model": ("model", _parse_text, _CLASSICAL_MODES, None),
-        "n": ("n", _scalar(int), _CLASSICAL_MODES, None),
-        "p": ("p", _scalar(float), _CLASSICAL_MODES, ("model", "binomial")),
-        "rho": ("rho", _scalar(float), _CLASSICAL_MODES, ("model", "correlated")),
-        "moves": ("moves", _parse_moves, _CLASSICAL_MODES, ("model", "correlated")),
+        "model": (_parse_text, "binomial", _CLASSICAL_MODES, None),
+        "n": (_scalar(int), 100, _CLASSICAL_MODES, None),
+        "p": (_scalar(float), 0.5, _CLASSICAL_MODES, ("model", "binomial")),
+        "rho": (_scalar(float), 1.0, _CLASSICAL_MODES, ("model", "correlated")),
+        "moves": (_parse_moves, DEFAULT_MOVES, _CLASSICAL_MODES, ("model", "correlated")),
     },
 }
 
@@ -445,87 +338,144 @@ def _check_keys(name: str, section: dict) -> None:
         raise ParseError(f"{name}: unknown key(s) {sorted(unknown)}")
 
 
-def _parse_fields(name: str, section: dict, fields: dict, defaults) -> dict:
-    # ``fields`` plus the section's parsed values, then its value gates.  A
-    # gate names a key whose field has its name; ``defaults`` has its default.
+def _parse_fields(name: str, section: dict, **given) -> dict:
+    # Every key of the section's table: its parsed value, else ``given``,
+    # else its default.  Then the section's value gates.
     table = _SECTIONS[name]
-    for key, (fld, parse, _, _) in table.items():
-        if key in section:
-            fields[fld] = parse(section[key], f"{name}.{key}")
+    fields = {key: parse(section[key], f"{name}.{key}") if key in section else given.get(key, default)
+              for key, (parse, default, _, _) in table.items()}
     for key, (_, _, _, gate) in table.items():
         if gate is not None and key in section:
             other, wanted = gate
-            got = fields.get(other, getattr(defaults, other))
-            if got != wanted:
+            if fields[other] != wanted:
                 raise ValidationError(
-                    f"{name}.{key} applies only to {other} = {wanted!r}, got {other} = {got!r}"
+                    f"{name}.{key} applies only to {other} = {wanted!r}, got {other} = {fields[other]!r}"
                 )
     return fields
 
 
-def _build_experiment(exp: dict, cls: dict) -> ExperimentConfig:
+def _build_experiment(exp: dict, cls: dict) -> SimpleNamespace:
+    # One job: every key of both sections as an attribute, and what is built,
+    # and so checked, from them: the classical coin pair, then quantum and
+    # compare's walk or entropy's coin state.
     _check_keys("experiment", exp)
     if "mode" not in exp:
         raise ValidationError("experiment.mode is required")
     _check_keys("classical", cls)
     # Without a model key, a key read only beside the correlated model selects it.
     gates = [_SECTIONS["classical"][key][3] for key in cls]
-    fields = {"model": "correlated"} if "model" not in cls and ("model", "correlated") in gates else {}
-    classical = ClassicalParams(**_parse_fields("classical", cls, fields, ClassicalParams))
-    return ExperimentConfig(classical=classical, **_parse_fields("experiment", exp, {}, ExperimentConfig))
+    given = {"model": "correlated"} if "model" not in cls and ("model", "correlated") in gates else {}
+    job = SimpleNamespace(**_parse_fields("classical", cls, **given))
+    if job.model not in ("binomial", "correlated"):
+        raise ValidationError(f"classical.model must be 'binomial' or 'correlated', got {job.model!r}")
+    if job.n < 0:
+        raise ValidationError(f"classical.n must be nonnegative, got {job.n}")
+    try:
+        if job.model == "binomial":
+            job.pair = JointCoinDistribution.from_bias(job.p)
+        else:
+            job.pair = JointCoinDistribution.from_correlation(job.rho)
+        check_walk_cost(job.n, job.moves if job.model == "correlated" else DEFAULT_MOVES)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+    vars(job).update(_parse_fields("experiment", exp))
+    if job.mode not in MODES:
+        raise ValidationError(f"mode must be one of {MODES}, got {job.mode!r}")
+    if job.output_format not in OUTPUT_FORMATS:
+        raise ValidationError(f"output_format must be one of {OUTPUT_FORMATS}, got {job.output_format!r}")
+    if job.steps < 0:
+        raise ValidationError(f"steps must be nonnegative, got {job.steps}")
+    if job.output == "":
+        raise ValidationError("output is empty; omit the key to write to stdout")
+    if job.positions is not None:
+        if not job.positions:
+            raise ValidationError("positions is empty; omit the key for the union of both supports")
+        ordered = sorted(job.positions)
+        repeated = sorted({a for a, b in zip(ordered, ordered[1:]) if a == b})
+        if repeated:
+            raise ValidationError(f"positions must be distinct, got {repeated} more than once")
+    try:
+        if job.mode in _WALK_MODES:
+            coin_state = build_initial_coin(job.coin, job.coin_amplitudes)
+            shift = build_shift(job.shift, job.shift_table)
+            coin_op = build_coin_operator(job.coin_operator, coin_state.qubits, job.coin_matrix)
+            job.walk = WalkConfig(
+                coin_state=coin_state,
+                coin_op=coin_op,
+                shift=shift,
+                steps=job.steps,
+                initial_position=job.initial_position,
+            )
+            if job.mode == "compare" and shift.dims != 1:
+                raise ValidationError("compare mode requires a 1D walk")
+            if job.mode == "compare" and job.walk.initial_position != (0,):
+                raise ValidationError(
+                    "compare mode starts both walks at the origin, "
+                    f"got initial_position = {job.walk.initial_position[0]}"
+                )
+            check_quantum_walk_cost(job.walk)
+        elif job.mode == "entropy":
+            job.coin_state = build_initial_coin(job.coin, job.coin_amplitudes)
+            if job.coin_state.qubits < 2:
+                raise ValidationError("entropy mode requires a coin of at least two qubits")
+            if job.cut is not None and not 1 <= job.cut < job.coin_state.qubits:
+                raise ValidationError(f"cut must lie in 1..{job.coin_state.qubits - 1}, got {job.cut}")
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+    return job
 
 
-def _classical_distribution(params: ClassicalParams) -> Distribution:
-    if params.model == "binomial":
-        return binomial_walk_distribution(params.n, params.p)
-    return correlated_walk_distribution(params.n, params.pair, params.moves)
+def _classical_distribution(job: SimpleNamespace) -> Distribution:
+    if job.model == "binomial":
+        return binomial_walk_distribution(job.n, job.p)
+    return correlated_walk_distribution(job.n, job.pair, job.moves)
 
 
-def _quantum_walk(cfg: ExperimentConfig) -> tuple[Distribution, float]:
+def _quantum_walk(cfg: SimpleNamespace) -> tuple[Distribution, float]:
     state = evolve(cfg.walk)
     return position_distribution(state), state_norm(state)
 
 
-def _run_quantum(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
+def _run_quantum(cfg: SimpleNamespace, echo: dict, path: str | None) -> str:
     dist, norm = _quantum_walk(cfg)
     meta = {"mode": cfg.mode, "steps": cfg.steps, "norm": norm}
     emit_distribution(dist, cfg.output_format, path, echo, meta)
     return f"quantum walk: {cfg.steps} step(s), norm {norm:.12f}"
 
 
-def _run_classical(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
-    dist = _classical_distribution(cfg.classical)
+def _run_classical(cfg: SimpleNamespace, echo: dict, path: str | None) -> str:
+    dist = _classical_distribution(cfg)
     meta = {
         "mode": cfg.mode,
-        "steps": cfg.classical.n,
+        "steps": cfg.n,
         "norm": math.fsum(dist.values.tolist()),
-        "model": cfg.classical.model,
+        "model": cfg.model,
     }
     emit_distribution(dist, cfg.output_format, path, echo, meta)
-    return f"classical walk: {cfg.classical.n} step(s), model {cfg.classical.model}"
+    return f"classical walk: {cfg.n} step(s), model {cfg.model}"
 
 
-def _run_compare(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
+def _run_compare(cfg: SimpleNamespace, echo: dict, path: str | None) -> str:
     qdist, norm = _quantum_walk(cfg)
-    cdist = _classical_distribution(cfg.classical)
+    cdist = _classical_distribution(cfg)
     probs = [dict(zip(*d.labels([d.offsets[0].tolist()]), d.values.tolist())) for d in (qdist, cdist)]
     labels = sorted(cfg.positions if cfg.positions is not None else probs[0].keys() | probs[1].keys())
     values = [[p.get(k, 0.0) for k in labels] for p in probs]
     meta = {
         "mode": cfg.mode,
         "steps": cfg.steps,
-        "classical_steps": cfg.classical.n,
+        "classical_steps": cfg.n,
         "norm": norm,
-        "model": cfg.classical.model,
+        "model": cfg.model,
     }
     _emit_table(
         ["position", "quantum", "classical"], labels, values, cfg.output_format, path, echo, meta,
         "comparison",
     )
-    return f"compare: {len(labels)} position(s), quantum {cfg.steps} vs classical {cfg.classical.n} step(s)"
+    return f"compare: {len(labels)} position(s), quantum {cfg.steps} vs classical {cfg.n} step(s)"
 
 
-def _run_entropy(cfg: ExperimentConfig, echo: dict, path: str | None) -> str:
+def _run_entropy(cfg: SimpleNamespace, echo: dict, path: str | None) -> str:
     cuts = [cfg.cut] if cfg.cut is not None else list(range(1, cfg.coin_state.qubits))
     entropies = [entanglement_entropy(cfg.coin_state, cut) for cut in cuts]
     meta = {"mode": cfg.mode, "coin": cfg.coin, "qubits": cfg.coin_state.qubits}
@@ -678,7 +628,7 @@ def run(config_path: str, overrides=(), quiet: bool = False) -> int:
         _apply_overrides(parser, overrides)
         summaries = []
         for cfg, echo, tag in _assemble_jobs(parser):
-            path = _suffixed_path(cfg.output_path, tag)
+            path = _suffixed_path(cfg.output, tag)
             summary = _MODE_RUNNERS[cfg.mode](cfg, echo, _stage(path, staged))
             summaries.append(f"{summary} -> {path if path is not None else 'stdout'}")
         for temp in list(staged):

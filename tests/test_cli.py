@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import math
 import os
@@ -13,14 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entwalk
+import entwalk.cli
 
 from entwalk.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VALIDATION,
+    MODES,
+    USAGE,
     ParseError,
     ValidationError,
+    _SECTIONS,
     _build_experiment,
     console_main,
     emit_distribution,
@@ -591,12 +596,13 @@ def test_tiny_probabilities_floor_to_zero_in_csv_but_not_json(tmp_path):
     assert 0.0 < tiny < 1e-15
 
 
-def test_custom_shift_table_from_config(tmp_path):
+@pytest.mark.parametrize("table", ["1 0 0 -1", "1, 0, 0, -1"], ids=["spaces", "commas"])
+def test_custom_shift_table_from_config(tmp_path, table):
     out = tmp_path / "cust.csv"
     cfg = write_config(
         tmp_path,
         f"[experiment]\nmode = quantum\ncoin = phi_plus\ncoin_operator = hadamard_n\n"
-        f"shift = custom\nshift_table = 1 0 0 -1\nsteps = 2\n"
+        f"shift = custom\nshift_table = {table}\nsteps = 2\n"
         f"output_format = csv\noutput = {out}\n",
     )
     assert run(cfg, quiet=True) == EXIT_OK
@@ -997,6 +1003,78 @@ def test_every_key_the_mode_reads_is_accepted(tmp_path, mode):
     text = mode_config(mode, out, keys).replace("model = binomial", "model = correlated")
     assert run(write_config(tmp_path, text), quiet=True) == EXIT_OK
     assert out.exists()
+
+
+# Every key with a default, spelled out at it.
+DEFAULT_SPELLINGS = {
+    ("experiment", "coin"): "phi_plus",
+    ("experiment", "coin_operator"): "hadamard_n",
+    ("experiment", "shift"): "s_ec",
+    ("experiment", "steps"): "100",
+    ("experiment", "output_format"): "csv",
+    ("classical", "model"): "binomial",
+    ("classical", "n"): "100",
+    ("classical", "p"): "0.5",
+    ("classical", "rho"): "1.0",
+    ("classical", "moves"): "hh:1 ht:0 th:0 tt:-1",
+}
+
+
+def test_the_default_spellings_are_the_key_tables_defaults():
+    assert set(DEFAULT_SPELLINGS) == {(name, key) for name, table in _SECTIONS.items()
+                                      for key, row in table.items() if row[1] is not None}
+    for (name, key), text in DEFAULT_SPELLINGS.items():
+        parse, default, _, _ = _SECTIONS[name][key]
+        assert parse(text, f"{name}.{key}") == default
+
+
+@pytest.mark.parametrize("mode, model", [(mode, "binomial") for mode in MODE_READS] + [
+    (mode, "correlated") for mode in MODE_READS if MODE_READS[mode]["classical"]])
+@pytest.mark.parametrize("fmt", ["csv", "gnuplot", "json"])
+def test_an_omitted_key_means_its_default(tmp_path, capsys, mode, model, fmt):
+    # the bare config sets mode, and the correlated model where it is not the default
+    bare = {"experiment": {"mode": mode}, "classical": {}}
+    if model == "correlated":
+        bare["classical"]["model"] = model
+    spelled = {name: dict(keys) for name, keys in bare.items()}
+    for (name, key), text in DEFAULT_SPELLINGS.items():
+        gate = _SECTIONS[name][key][3]
+        if key in MODE_READS[mode][name] and key not in spelled[name] and gate in (None, ("model", model)):
+            spelled[name][key] = text
+    overrides = [] if fmt == "csv" else [f"output_format={fmt}"]
+    printed = []
+    for sections in (bare, spelled):
+        text = "".join(f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+                       for name, keys in sections.items() if keys)
+        assert run(write_config(tmp_path, text), overrides, quiet=True) == EXIT_OK
+        printed.append(capsys.readouterr().out)
+    if fmt == "json":
+        printed = [{k: v for k, v in json.loads(out).items() if k != "config"} for out in printed]
+    assert printed[0] and printed[1] == printed[0]
+
+
+def test_the_readme_key_table_is_the_key_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = readme[readme.index("| key | read in mode | read only beside | default |"):].splitlines()
+    rows = {}  # (section, key) -> (modes, beside, default cell)
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[2:]):
+        key, modes, beside, default = (cell.strip() for cell in line.strip("|").split("|"))
+        section = "classical" if key.startswith("`[classical]`") else "experiment"
+        modes = MODES if modes == "every mode" else tuple(m.strip() for m in modes.split(","))
+        beside = tuple(beside.strip("`").split(" = ")) if beside else None
+        rows[section, key.rpartition(" ")[2].strip("`")] = (modes, beside, default)
+    assert list(rows) == [(name, key) for name, table in _SECTIONS.items() for key in table]
+    for (name, key), (modes, beside, default) in rows.items():
+        parse, value, readers, gate = _SECTIONS[name][key]
+        assert (modes, beside) == (readers, gate), key
+        if value is None:
+            assert "`" not in default, key
+        else:
+            assert default.startswith("`") and parse(default.strip("`"), key) == value, key
+
+
+def test_the_module_docstring_gives_the_usage():
+    assert f"Usage: ``{USAGE}``" in entwalk.cli.__doc__
 
 
 # Batch configs with a key that no job reads -> the error line.
@@ -1452,5 +1530,54 @@ def test_inline_values_fail_only_as_config_errors(key, text):
     (cls if key == "moves" else exp)[key] = text
     try:
         _build_experiment(exp, cls)
+    except (ParseError, ValidationError):
+        pass
+
+
+# Values a key of a multi-key fuzz case draws: some that open the other
+# keys and the deeper checks, then its parser's grammar and junk.
+FUZZ_VALUES = {
+    "coin": ["phi_plus", "ghz3", "theta1", "single_hadamard_bias", "custom"],
+    "coin_amplitudes": ["(1, 0) (0, 0)", "(0.6, 0) (0, 0.8) (0, 0) (0, 0)", "(1, 0) (1, 0)", "(1, 0)"],
+    "coin_operator": ["hadamard_n", "y_n", "custom"],
+    "coin_matrix": ["(1, 0) (0, 0); (0, 0) (1, 0)", "(0, 0) (1, 0); (1, 0) (0, 0)",
+                    "(1, 0) (1, 0); (0, 0) (1, 0)"],
+    "shift": ["s_ec", "s_single", "s_3b", "s_2d", "custom"],
+    "shift_table": ["1 -1", "1, 0, 0, -1", "(1, 0) (0, 1) (-1, 0) (0, -1)", "(1, 0) (0)"],
+    "steps": ["0", "3", "-1", "100000000"],
+    "initial_position": ["0", "2", "1, -1", ""],
+    "output_format": ["csv", "json", "gnuplot", "yaml"],
+    "output": ["out.csv", ""],
+    "positions": ["0", "1 -1", "2 2", ", "],
+    "cut": ["1", "2", "0"],
+    "model": ["binomial", "correlated", "quantum"],
+    "n": ["3", "-1", "100000000"],
+    "p": ["0.5", "0", "1.5", "nan"],
+    "rho": ["0.5", "-1", "2", "inf"],
+    "moves": ["hh:1 ht:0 th:0 tt:-1", "hh:2, ht:1, th:-1, tt:-2", "hh:1 ht:0", "hh:1 hh:1"],
+}
+
+
+def fuzz_section(name):
+    return st.fixed_dictionaries({}, optional={
+        key: st.sampled_from(FUZZ_VALUES[key]) for key in _SECTIONS[name] if key in FUZZ_VALUES})
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    mode=st.sampled_from(MODES),
+    exp=fuzz_section("experiment"),
+    cls=fuzz_section("classical"),
+    # at most one value from the parsers' grammar or junk; it most often fails to parse
+    junk=st.none() | st.tuples(st.sampled_from(sorted(FUZZ_VALUES)),
+                               st.text() | st.text(alphabet="0123456789 ()+-.,;:eEjinfaht")),
+)
+def test_several_keys_at_once_fail_only_as_config_errors(mode, exp, cls, junk):
+    # keys of both sections in every mode; builds the job, but runs no walk
+    if junk is not None:
+        key, text = junk
+        (exp if key in _SECTIONS["experiment"] else cls)[key] = text
+    try:
+        _build_experiment({"mode": mode, **exp}, cls)
     except (ParseError, ValidationError):
         pass
