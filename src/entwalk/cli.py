@@ -375,7 +375,7 @@ def _build_experiment(exp: dict, cls: dict) -> SimpleNamespace:
             job.pair = JointCoinDistribution.from_bias(job.p)
         else:
             job.pair = JointCoinDistribution.from_correlation(job.rho)
-        check_walk_cost(job.n, job.moves if job.model == "correlated" else DEFAULT_MOVES)
+        check_walk_cost(job.n, job.moves)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
     vars(job).update(_parse_fields("experiment", exp))
@@ -495,10 +495,8 @@ _MODE_RUNNERS = {
 def _suffixed_path(path: str | None, tag: str | None) -> str | None:
     if path is None or tag is None:
         return path
-    stem, dot, ext = path.rpartition(".")
-    if dot and "/" not in ext:
-        return f"{stem}.{tag}.{ext}"
-    return f"{path}.{tag}"
+    stem, ext = os.path.splitext(path)
+    return f"{stem}.{tag}{ext}"
 
 
 def _read_sections(path: str) -> configparser.ConfigParser:
@@ -631,8 +629,9 @@ def run(config_path: str, overrides=(), quiet: bool = False) -> int:
             path = _suffixed_path(cfg.output, tag)
             summary = _MODE_RUNNERS[cfg.mode](cfg, echo, _stage(path, staged))
             summaries.append(f"{summary} -> {path if path is not None else 'stdout'}")
-        for temp in list(staged):
-            os.replace(temp, staged.pop(temp)[0])
+        for temp, (target, _) in list(staged.items()):
+            os.replace(temp, target)
+            del staged[temp]  # after the rename, so a failed one is named and removed
         if not quiet:
             for line in summaries:
                 print(line, file=sys.stderr)

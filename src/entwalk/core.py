@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -217,25 +216,27 @@ class CoinOperator:
         return None if any(self.matrix.imag.ravel().tolist()) else self.matrix.real
 
 
-class SiteAmplitudes(Mapping):
-    """Read-only ``{position: coin vector}`` view of a dense amplitude window.
+class SiteAmplitudes:
+    """A dense amplitude window over a box of the lattice, and its origin.
 
     ``window`` is a read-only, coin-major ``complex128`` or ``float64``
     array of shape ``(2**qubits, extent...)`` over a box of the lattice:
     ``window[c]`` is the plane of coin component ``c``.  ``origin`` is the
-    lattice position of the box's index 0.  The keys are the sites with any
-    nonzero coin component, in sorted order; a key's value is its coin
-    vector, the window's column at that site.
+    lattice position of the box's index 0, so site ``pos``'s coin vector is
+    the window's column at ``pos - origin``.  Views compare by value, origin
+    and window, and are unhashable.
+
+    ``len`` (the occupied sites) and :meth:`values` remain only because the
+    benchmark's tracer reads them; they go when the tracer stops.
     """
 
-    __slots__ = ("window", "origin", "_mask", "_keys")
+    __slots__ = ("window", "origin", "_mask")
 
     def __init__(self, window: np.ndarray, origin: tuple[int, ...]):
         window.flags.writeable = False
         self.window = window
         self.origin = origin
         self._mask = None
-        self._keys = None
 
     def occupied(self) -> np.ndarray:
         """Boolean array over the window's sites: any nonzero coin component."""
@@ -243,25 +244,20 @@ class SiteAmplitudes(Mapping):
             self._mask = (self.window != 0).any(axis=0)
         return self._mask
 
-    def __getitem__(self, pos) -> np.ndarray:
-        try:
-            index = tuple(operator.index(x) - o for x, o in zip(pos, self.origin, strict=True))
-        except (TypeError, ValueError):
-            raise KeyError(pos) from None
-        if all(0 <= i < n for i, n in zip(index, self.window.shape[1:])):
-            vec = self.window[(slice(None),) + index]
-            if vec.any():
-                return vec
-        raise KeyError(pos)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SiteAmplitudes):
+            return NotImplemented
+        return self.origin == other.origin and np.array_equal(self.window, other.window)
 
-    def __iter__(self):
-        if self._keys is None:
-            hits = np.argwhere(self.occupied()).tolist()
-            self._keys = [tuple(i + o for i, o in zip(hit, self.origin)) for hit in hits]
-        return iter(self._keys)
+    __hash__ = None
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.occupied()))
+
+    def values(self) -> np.ndarray:
+        """The occupied sites' coin vectors, one row each, in sorted site order."""
+        window = self.window
+        return window.reshape(len(window), -1).T[np.flatnonzero(self.occupied())]
 
 
 @dataclass(frozen=True)
@@ -272,8 +268,10 @@ class WalkState:
     shape ``(2**qubits, extent...)``, ``complex128`` or, for a real walk,
     ``float64``.  It is adopted as it is, so a state is built from a window
     and its origin, ``SiteAmplitudes(window, origin)``, or from another
-    state's ``amplitudes``.  Instances are immutable values; evolution
-    produces new ones.
+    state's ``amplitudes``.  Instances are immutable values, compared by
+    value; evolution produces new ones.  ``dims`` and ``qubits`` are
+    inputs, not derived from the window, only because the benchmark's
+    tracer builds states with these keywords.
     """
 
     dims: int

@@ -166,7 +166,8 @@ def apply_shift(state: WalkState, table: DisplacementTable) -> WalkState:
 
     The amplitude at ``(pos, c)`` moves to ``(pos + table.table[c], c)``
     unchanged in value.  Distinct (position, coin) pairs never collide, so
-    the norm is preserved exactly.
+    the norm is preserved exactly.  A walk step shifts without it; it
+    remains only because the benchmark's tracer times it.
 
     Raises
     ------

@@ -2,7 +2,8 @@
 
 A ``WalkState`` is built from a window only; :func:`site_state` packs
 ``{position: coin vector}`` sites into their bounding box and hands that
-window over.  A ``Distribution`` holds label and value arrays only;
+window over, and :func:`sites` reads a state's window back as that dict.
+A ``Distribution`` holds label and value arrays only;
 :func:`probs` reads them back as ``{position: probability}``.
 """
 
@@ -22,6 +23,14 @@ def site_state(dims: int, qubits: int, sites: dict) -> WalkState:
     for key, vec in zip(keys, sites.values()):
         window[(slice(None), *(x - o for x, o in zip(key, lo)))] = vec
     return WalkState(dims=dims, qubits=qubits, amplitudes=SiteAmplitudes(window, lo))
+
+
+def sites(state: WalkState) -> dict:
+    """``{position: coin vector}`` over ``state``'s sites with any nonzero
+    component, in sorted order: a position tuple, the window's column there."""
+    window, origin = state.amplitudes.window, state.amplitudes.origin
+    return {tuple(i + o for i, o in zip(hit, origin)): window[(slice(None), *hit)]
+            for hit in np.argwhere(window.any(axis=0)).tolist()}
 
 
 def probs(dist: Distribution) -> dict:

@@ -30,7 +30,7 @@ from entwalk.core import state_norm
 from entwalk.engine import WalkConfig, evolve, initial_state, position_distribution, step
 from entwalk.shifts import SHIFT_PRESETS, build_shift
 from oracles import dense_evolve, gram_entropy
-from states import probs
+from states import probs, sites
 
 
 def announce(capsys, number, title, failures, detail=""):
@@ -276,8 +276,9 @@ def test_criterion_7_oracle_equivalence_and_large_n_properties(capsys):
         expected = dense_evolve(cfg.coin_state.amplitudes, cfg.coin_op.matrix, cfg.shift.table, 8)
         dim = 2**cfg.coin_state.qubits
         deviation = 0.0
-        for pos in set(state.amplitudes) | set(expected):
-            got = state.amplitudes.get(pos, np.zeros(dim))
+        got_sites = sites(state)
+        for pos in set(got_sites) | set(expected):
+            got = got_sites.get(pos, np.zeros(dim))
             want = expected.get(pos, np.zeros(dim))
             deviation = max(deviation, float(np.max(np.abs(got - want))))
         worst = max(worst, deviation)

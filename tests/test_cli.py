@@ -1,3 +1,4 @@
+import errno
 import gc
 import itertools
 import json
@@ -614,17 +615,22 @@ def test_custom_shift_table_from_config(tmp_path, table):
     assert out.read_text() == ref.read_text()
 
 
-def test_batch_outputs_suffixed_and_layered(tmp_path):
-    out = tmp_path / "b.csv"
+@pytest.mark.parametrize(
+    "name, first, second",
+    [("b.csv", "b.1.csv", "b.2.csv"), ("b", "b.1", "b.2"), (".walk", ".walk.1", ".walk.2")],
+    ids=["extension", "extensionless", "dotfile"],
+)
+def test_batch_outputs_suffixed_and_layered(tmp_path, name, first, second):
+    out = tmp_path / name
     cfg = write_config(
         tmp_path,
         QUANTUM_BASE.format(steps=1, fmt="csv", out=out)
         + "\n[experiment.1]\n\n[experiment.2]\nsteps = 2\n",
     )
     assert run(cfg, quiet=True) == EXIT_OK
-    assert not out.exists()
-    one = (tmp_path / "b.1.csv").read_text()
-    two = (tmp_path / "b.2.csv").read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["exp.ini", first, second])
+    one = (tmp_path / first).read_text()
+    two = (tmp_path / second).read_text()
     single = tmp_path / "single.csv"
     ref = write_config(tmp_path, QUANTUM_BASE.format(steps=2, fmt="csv", out=single), name="s.ini")
     assert run(ref, quiet=True) == EXIT_OK
@@ -1264,6 +1270,26 @@ def test_batch_write_failure_in_a_later_job_leaves_no_file(tmp_path, capsys):
     missing_2 = tmp_path / "missing" / "out.2.csv"
     assert capsys.readouterr().err == (
         f"error: i/o: [Errno 2] No such file or directory: '{missing_2}'\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+
+def test_batch_rename_failure_names_the_output_and_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # a temporary that fails to take its output's place is reported as
+    # that output, and removed
+    out = tmp_path / "out.csv"
+    cfg = write_config(
+        tmp_path,
+        QUANTUM_BASE.format(steps=2, fmt="csv", out=out) + "\n[experiment.1]\nsteps = 1\n\n[experiment.2]\n",
+    )
+
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, "Permission denied", src)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert run(cfg) == EXIT_IO
+    assert capsys.readouterr().err == (
+        f"error: i/o: [Errno 13] Permission denied: '{tmp_path / 'out.1.csv'}'\n"
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
 

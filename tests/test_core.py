@@ -22,7 +22,7 @@ from entwalk.core import (
 )
 from entwalk.shifts import SHIFT_PRESETS, DisplacementTable, build_shift
 from oracles import haar_unitary
-from states import probs, site_state
+from states import probs, site_state, sites
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
 HADAMARD = np.array([[SQRT1_2, SQRT1_2], [SQRT1_2, -SQRT1_2]])
@@ -179,6 +179,9 @@ def test_coin_operator_validates_unitarity():
                 CoinOperator(u)
     with pytest.raises(ValueError, match="not unitary"):
         CoinOperator(np.full((4, 4), 0.5))
+    # entries whose products pass float64
+    with pytest.raises(ValueError, match=r"not unitary: max \|U U\^dag - I\| = inf$"):
+        CoinOperator(np.full((2, 2), 1e200))
 
 
 def test_unitarity_defect_takes_any_memory_layout():
@@ -264,30 +267,25 @@ def test_coin_check_verdicts_match_a_numpy_check(dim):
 
 def test_walk_state_stores_sparse_positions():
     s = site_state(1, 2, {(0,): [SQRT1_2, 0, 0, SQRT1_2]})
-    assert s.amplitudes[(0,)][0] == pytest.approx(SQRT1_2)
-    assert s.amplitudes[(0,)][3] == pytest.approx(SQRT1_2)
-    assert s.amplitudes.get((5,)) is None
-    assert list(s.amplitudes) == [(0,)]
+    assert list(sites(s)) == [(0,)]
+    assert sites(s)[(0,)][0] == pytest.approx(SQRT1_2)
+    assert sites(s)[(0,)][3] == pytest.approx(SQRT1_2)
 
 
 def test_walk_state_lists_only_sites_with_nonzero_amplitude():
     s = site_state(1, 2, {(4,): [0, 0, 0, 0], (0,): [0, 1, 0, 0], (-2,): [0, 0, 0, 1j]})
-    assert list(s.amplitudes) == [(-2,), (0,)]
+    assert list(sites(s)) == [(-2,), (0,)]
+    assert s.amplitudes.origin == (-2,)
+    assert s.amplitudes.occupied().tolist() == [True, False, True, False, False, False, False]
     assert len(s.amplitudes) == 2
-    assert (4,) not in s.amplitudes
-    assert s.amplitudes.get((4,)) is None
-    assert s.amplitudes.get((99,)) is None
-    assert s.amplitudes.get((0, 0)) is None
-    assert s.amplitudes.get(0) is None
-    assert s.amplitudes.get((0.5,)) is None
     assert [v.tolist() for v in s.amplitudes.values()] == [[0, 0, 0, 1j], [0, 1, 0, 0]]
 
 
 def test_walk_state_2d_positions_are_sorted():
     vec = [1, 0]
     s = site_state(2, 1, {(1, -1): vec, (0, 2): vec, (0, -1): vec})
-    assert list(s.amplitudes) == [(0, -1), (0, 2), (1, -1)]
-    assert np.array_equal(s.amplitudes[(0, 2)], [1, 0])
+    assert list(sites(s)) == [(0, -1), (0, 2), (1, -1)]
+    assert np.array_equal(sites(s)[(0, 2)], [1, 0])
 
 
 def test_walk_state_is_built_from_a_window_only():

@@ -18,7 +18,7 @@ from entwalk.engine import (
 )
 from entwalk.shifts import _STEP_OVERHEAD, SHIFT_PRESETS, build_shift
 from oracles import dense_evolve
-from states import probs
+from states import probs, sites
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
 
@@ -50,11 +50,11 @@ def test_combo_enumeration_is_complete():
 
 
 def test_initial_state_bell_coin():
-    s = initial_state(make_config("phi_plus", "hadamard_n", "s_ec", 0))
-    assert list(s.amplitudes) == [(0,)]
-    assert s.amplitudes[(0,)][0] == pytest.approx(SQRT1_2, abs=1e-15)
-    assert s.amplitudes[(0,)][3] == pytest.approx(SQRT1_2, abs=1e-15)
-    assert s.amplitudes[(0,)][1] == 0
+    s = sites(initial_state(make_config("phi_plus", "hadamard_n", "s_ec", 0)))
+    assert list(s) == [(0,)]
+    assert s[(0,)][0] == pytest.approx(SQRT1_2, abs=1e-15)
+    assert s[(0,)][3] == pytest.approx(SQRT1_2, abs=1e-15)
+    assert s[(0,)][1] == 0
 
 
 def test_initial_state_single_qubit_basis_coin():
@@ -64,16 +64,16 @@ def test_initial_state_single_qubit_basis_coin():
         shift=build_shift("s_single"),
         steps=0,
     )
-    s = initial_state(cfg)
-    assert list(s.amplitudes) == [(0,)]
-    assert s.amplitudes[(0,)][0] == 1.0 + 0j
+    s = sites(initial_state(cfg))
+    assert list(s) == [(0,)]
+    assert s[(0,)][0] == 1.0 + 0j
 
 
 def test_initial_state_ghz_2d():
-    s = initial_state(make_config("ghz3", "hadamard_n", "s_2d", 0))
-    assert list(s.amplitudes) == [(0, 0)]
-    assert s.amplitudes[(0, 0)][0] == pytest.approx(SQRT1_2, abs=1e-15)
-    assert s.amplitudes[(0, 0)][7] == pytest.approx(SQRT1_2, abs=1e-15)
+    s = sites(initial_state(make_config("ghz3", "hadamard_n", "s_2d", 0)))
+    assert list(s) == [(0, 0)]
+    assert s[(0, 0)][0] == pytest.approx(SQRT1_2, abs=1e-15)
+    assert s[(0, 0)][7] == pytest.approx(SQRT1_2, abs=1e-15)
 
 
 def test_initial_position_offset():
@@ -120,8 +120,8 @@ def test_walk_configs_built_from_equal_parts_are_equal():
 def test_one_step_splits_bell_state_symmetrically():
     cfg = make_config("phi_plus", "hadamard_n", "s_ec", 0)
     s = step(initial_state(cfg), cfg.coin_op, cfg.shift)
-    assert s.amplitudes[(1,)][0] == pytest.approx(SQRT1_2, abs=1e-15)
-    assert s.amplitudes[(-1,)][3] == pytest.approx(SQRT1_2, abs=1e-15)
+    assert sites(s)[(1,)][0] == pytest.approx(SQRT1_2, abs=1e-15)
+    assert sites(s)[(-1,)][3] == pytest.approx(SQRT1_2, abs=1e-15)
     d = probs(position_distribution(s))
     assert d[1] == pytest.approx(0.5, abs=1e-12)
     assert d[-1] == pytest.approx(0.5, abs=1e-12)
@@ -129,9 +129,9 @@ def test_one_step_splits_bell_state_symmetrically():
 
 def test_zero_steps_returns_initial_state():
     cfg = make_config("theta1", "y_n", "s_ec_prime", 0)
-    s = evolve(cfg)
-    assert list(s.amplitudes) == [(0,)]
-    assert np.array_equal(s.amplitudes[(0,)], cfg.coin_state.amplitudes)
+    s = sites(evolve(cfg))
+    assert list(s) == [(0,)]
+    assert np.array_equal(s[(0,)], cfg.coin_state.amplitudes)
 
 
 @pytest.mark.parametrize(
@@ -174,14 +174,14 @@ def test_bell_walk_small_step_distributions_exact(steps, expected):
 def test_engine_matches_dense_oracle(coin, op, shift):
     steps = 8
     cfg = make_config(coin, op, shift, steps)
-    state = evolve(cfg)
+    state = sites(evolve(cfg))
     expected = dense_evolve(
         cfg.coin_state.amplitudes, cfg.coin_op.matrix, cfg.shift.table, steps
     )
-    keys = set(state.amplitudes) | set(expected)
+    keys = set(state) | set(expected)
     dim = 2**cfg.coin_state.qubits
     for pos in keys:
-        got = state.amplitudes.get(pos, np.zeros(dim))
+        got = state.get(pos, np.zeros(dim))
         want = expected.get(pos, np.zeros(dim))
         assert np.max(np.abs(got - want)) <= 1e-12, f"mismatch at {pos}"
 
@@ -189,12 +189,12 @@ def test_engine_matches_dense_oracle(coin, op, shift):
 @pytest.mark.parametrize("steps", [1, 3, 5])
 def test_engine_matches_dense_oracle_varied_depths(steps):
     cfg = make_config("inui_konno", "y_n", "s_ec_prime", steps)
-    state = evolve(cfg)
+    state = sites(evolve(cfg))
     expected = dense_evolve(
         cfg.coin_state.amplitudes, cfg.coin_op.matrix, cfg.shift.table, steps
     )
     for pos, want in expected.items():
-        got = state.amplitudes.get(pos, np.zeros(4))
+        got = state.get(pos, np.zeros(4))
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -208,8 +208,9 @@ def test_single_qubit_hadamard_walk_matches_dense_oracle():
     )
     state = evolve(cfg)
     expected = dense_evolve(coin_state.amplitudes, cfg.coin_op.matrix, cfg.shift.table, 8)
+    got_sites = sites(state)
     for pos, want in expected.items():
-        got = state.amplitudes.get(pos, np.zeros(2))
+        got = got_sites.get(pos, np.zeros(2))
         assert np.max(np.abs(got - want)) <= 1e-12
     # the lopsidedness characteristic of this walk: drift to the right
     d = probs(position_distribution(state))
@@ -258,7 +259,7 @@ def test_psi_minus_support_stays_exactly_at_the_origin(op):
     # the coin maps psi_minus to itself up to a phase, so the moving
     # components must cancel to exact zeros at every step, in every site
     state = evolve(make_config("psi_minus", op, "s_ec", 30))
-    assert list(state.amplitudes) == [(0,)]
+    assert list(sites(state)) == [(0,)]
     assert sorted(probs(position_distribution(state))) == [0]
 
 
@@ -270,15 +271,15 @@ def test_kept_states_are_unchanged_by_later_steps():
         for _ in range(4):
             state = step(state, cfg.coin_op, cfg.shift, scratch=scratch)
         kept = state
-        snapshot = {pos: vec.copy() for pos, vec in kept.amplitudes.items()}
+        snapshot = {pos: vec.copy() for pos, vec in sites(kept).items()}
         for _ in range(6):
             state = step(state, cfg.coin_op, cfg.shift, scratch=scratch)
-        assert list(kept.amplitudes) == sorted(snapshot)
+        assert list(sites(kept)) == sorted(snapshot)
         for pos, vec in snapshot.items():
-            assert np.array_equal(kept.amplitudes[pos], vec)
+            assert np.array_equal(sites(kept)[pos], vec)
         assert not kept.amplitudes.window.flags.writeable
         with pytest.raises(ValueError):
-            kept.amplitudes[next(iter(kept.amplitudes))][0] = 0
+            kept.amplitudes.window[0] = 0
 
 
 @pytest.mark.parametrize(
@@ -300,11 +301,35 @@ def test_walk_state_adopts_another_states_amplitudes():
     assert adopted.amplitudes is s.amplitudes
     rebuilt = _as_complex(s)
     for t in (adopted, rebuilt):
-        assert list(t.amplitudes) == list(s.amplitudes)
+        assert list(sites(t)) == list(sites(s))
         assert probs(position_distribution(t)) == probs(position_distribution(s))
         assert state_norm(t) == pytest.approx(state_norm(s), abs=1e-15)
     with pytest.raises(ValueError, match="window"):
         WalkState(dims=1, qubits=3, amplitudes=s.amplitudes)
+
+
+def test_walk_states_compare_by_value():
+    cfg = make_config("ghz3", "y_n", "s_2d", 5)
+    a, b = evolve(cfg), evolve(cfg)
+    assert a == b and a.amplitudes is not b.amplitudes
+    window = a.amplitudes.window
+    assert a != WalkState(dims=2, qubits=3, amplitudes=SiteAmplitudes(window, (1, 0)))
+    changed = window.copy()
+    changed.flat[np.flatnonzero(window)[0]] *= -1
+    assert a != WalkState(dims=2, qubits=3, amplitudes=SiteAmplitudes(changed, a.amplitudes.origin))
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+def test_the_tracers_reads_count_the_window():
+    # len and values(), the reads the benchmark's tracer makes: occupied
+    # sites, and their coin vectors in site order
+    state = evolve(make_config("ghz3", "hadamard_n", "s_2d", 50))
+    window = state.amplitudes.window
+    assert len(state.amplitudes) == np.count_nonzero(window.any(axis=0))
+    rows = state.amplitudes.values()
+    assert sum(np.count_nonzero(vec) for vec in rows) == np.count_nonzero(window)
+    assert np.array_equal(rows, list(sites(state).values()))
 
 
 def _with_shift(table, steps):
@@ -593,5 +618,8 @@ def test_step_validates_agreement():
         step(state, build_coin_operator("hadamard_n", 1), cfg.shift)
     with pytest.raises(ValueError, match="conditions"):
         step(state, cfg.coin_op, build_shift("s_single"))
+    ghz = initial_state(make_config("ghz3", "hadamard_n", "s_2d", 0))
+    with pytest.raises(ValueError, match="shift is 1D, state is 2D"):
+        step(ghz, build_coin_operator("hadamard_n", 3), build_shift("s_3a"))
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from entwalk.core import state_norm
 from entwalk.shifts import SHIFT_PRESETS, DisplacementTable, apply_shift, build_shift
-from states import site_state
+from states import site_state, sites
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
 
@@ -81,16 +81,16 @@ def test_custom_table_refuses_floats_and_strings():
 def test_apply_shift_moves_basis_amplitude():
     state = site_state(1, 2, {(0,): [1, 0, 0, 0]})
     moved = apply_shift(state, build_shift("s_ec"))
-    assert moved.amplitudes[(1,)][0] == 1.0 + 0j
-    assert list(moved.amplitudes) == [(1,)]
+    assert sites(moved)[(1,)][0] == 1.0 + 0j
+    assert list(sites(moved)) == [(1,)]
 
 
 def test_apply_shift_rest_components_stay():
     psi_minus = [0, SQRT1_2, -SQRT1_2, 0]
     state = site_state(1, 2, {(0,): psi_minus})
     moved = apply_shift(state, build_shift("s_ec"))
-    assert list(moved.amplitudes) == [(0,)]
-    assert np.array_equal(moved.amplitudes[(0,)], np.array(psi_minus, dtype=complex))
+    assert list(sites(moved)) == [(0,)]
+    assert np.array_equal(sites(moved)[(0,)], np.array(psi_minus, dtype=complex))
 
 
 def test_apply_shift_2d_component():
@@ -98,7 +98,7 @@ def test_apply_shift_2d_component():
     vec[7] = 1.0
     state = site_state(2, 3, {(0, 0): vec})
     moved = apply_shift(state, build_shift("s_2d"))
-    assert moved.amplitudes[(-1, 0)][7] == 1.0 + 0j
+    assert sites(moved)[(-1, 0)][7] == 1.0 + 0j
 
 
 def test_apply_shift_preserves_amplitude_values_exactly():
@@ -108,7 +108,7 @@ def test_apply_shift_preserves_amplitude_values_exactly():
     state = site_state(1, 2, {(0,): vec, (2,): vec[::-1] * 0})
     moved = apply_shift(state, build_shift("s_ec_prime"))
     for c, target in enumerate((2, 1, -1, -2)):
-        assert moved.amplitudes[(target,)][c] == vec[c]
+        assert sites(moved)[(target,)][c] == vec[c]
     assert state_norm(moved) == pytest.approx(state_norm(state), abs=1e-15)
 
 
@@ -119,8 +119,8 @@ def test_apply_shift_zero_table_is_identity():
     state = site_state(1, 2, {(5,): vec})
     zero = build_shift("custom", [0, 0, 0, 0])
     moved = apply_shift(state, zero)
-    assert list(moved.amplitudes) == list(state.amplitudes)
-    assert np.array_equal(moved.amplitudes[(5,)], state.amplitudes[(5,)])
+    assert list(sites(moved)) == list(sites(state))
+    assert np.array_equal(sites(moved)[(5,)], sites(state)[(5,)])
 
 
 tables_1d = st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=4)
@@ -136,9 +136,10 @@ def test_apply_shift_negated_table_inverts(table, seed):
     state = site_state(1, 2, {(0,): vec, (3,): vec[::-1] / 1e3})
     there = apply_shift(state, t)
     back = apply_shift(there, build_shift("custom", [-x for x in table]))
-    assert list(back.amplitudes) == list(state.amplitudes)
-    for pos in state.amplitudes:
-        assert np.array_equal(back.amplitudes[pos], state.amplitudes[pos])
+    back_sites, state_sites = sites(back), sites(state)
+    assert list(back_sites) == list(state_sites)
+    for pos, vec in state_sites.items():
+        assert np.array_equal(back_sites[pos], vec)
 
 
 @settings(deadline=None, max_examples=40)
