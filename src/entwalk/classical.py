@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution
+from .core import Distribution, _step_count
 from .shifts import DisplacementTable, _window_cost, build_shift
 
 __all__ = [
@@ -131,12 +131,12 @@ def check_walk_cost(n: int, moves: DisplacementTable = DEFAULT_MOVES) -> tuple[i
     Raises
     ------
     ValueError
-        A negative n, moves that are not a 1D table over 2 qubits, a window
+        An n that is not a nonnegative int (anything ``operator.index``
+        takes), moves that are not a 1D table over 2 qubits, a window
         above ``MAX_WINDOW_SITES`` sites, or work above
         ``MAX_WINDOW_UPDATES`` site updates.
     """
-    if n < 0:
-        raise ValueError(f"step count must be nonnegative, got {n}")
+    n = _step_count(n)
     if (moves.dims, moves.qubits) != (1, 2):
         raise ValueError(
             f"moves must be a 1D table over 2 qubits, one move per outcome {OUTCOMES}, "
@@ -163,6 +163,7 @@ def correlated_walk_distribution(
     direct sums keep unreachable sites exactly 0.  The support is the
     positions with probability > 0; the distribution's lattice step is g.
     """
+    n = _step_count(n)  # a Python int, so the labels are too
     size, _ = check_walk_cost(n, moves)
     (lo,), (g,), (span,), offsets = moves._layout
     span //= g

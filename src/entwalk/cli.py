@@ -10,8 +10,10 @@ correlated-pair parameters).  Numbered sections ``[experiment.1]``,
 over the base sections; each sub-config writes its own output file with the
 index inserted before the extension.  Any other section, ``[DEFAULT]``
 included, is a parse error.  Every job is checked before the first
-runs, and output files are renamed into place only after the last job
-succeeds, so a failing config, or a failing write, leaves no file.
+runs, and every job runs and writes its output to a temporary file before
+the first is renamed into place, so a failing config, job or write leaves
+no output file.  The renames run one by one: one that fails leaves the
+outputs renamed before it in place.
 
 Exit codes: 0 success, 2 config parse error, 3 validation error (also out of
 memory or an arithmetic error), 4 I/O error.  A key that its job's mode does
@@ -63,7 +65,6 @@ from .classical import (
 from .coins import build_coin_operator, build_initial_coin, entanglement_entropy
 from .core import Distribution, state_norm
 from .engine import WalkConfig, evolve, position_distribution
-from .engine import check_walk_cost as check_quantum_walk_cost
 from .shifts import DisplacementTable, build_shift
 
 __all__ = [
@@ -413,7 +414,6 @@ def _build_experiment(exp: dict, cls: dict) -> SimpleNamespace:
                     "compare mode starts both walks at the origin, "
                     f"got initial_position = {job.walk.initial_position[0]}"
                 )
-            check_quantum_walk_cost(job.walk)
         elif job.mode == "entropy":
             job.coin_state = build_initial_coin(job.coin, job.coin_amplitudes)
             if job.coin_state.qubits < 2:
@@ -615,10 +615,12 @@ def run(config_path: str, overrides=(), quiet: bool = False) -> int:
     ArithmeticError, 4 on an I/O error.  Diagnostics go to stderr as one
     line each; per-run summaries also go to stderr unless ``quiet``, once
     every job has run.  Each output file is written to a temporary file in
-    its directory, and the temporaries are renamed into place only after
-    the last job succeeds; on any failure they are removed.  An output that
-    is not a regular file, or whose directory may not be written, is
-    written in place.
+    its directory.  Every job runs and every temporary is written before
+    the first is renamed into place, one by one; on any failure the
+    temporaries not yet renamed are removed.  So a failure before the
+    renames leaves no output file, and a rename that fails leaves the
+    outputs renamed before it.  An output that is not a regular file, or
+    whose directory may not be written, is written in place.
     """
     staged: dict[str, tuple[str, str]] = {}
     try:

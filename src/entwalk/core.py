@@ -89,6 +89,29 @@ def _coordinates(value, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be an int or a sequence of ints, got {value!r}") from None
 
 
+def _step_count(n) -> int:
+    """``n`` as a Python int: anything ``operator.index`` takes, at least 0.
+
+    Anything else, such as a float or a string, and a negative count raise
+    ValueError.
+    """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"step count must be an int, got {n!r}") from None
+    if n < 0:
+        raise ValueError(f"step count must be nonnegative, got {n}")
+    return n
+
+
+def _check_qubits(qubits: int, coin_op, shift) -> None:
+    """Refuse a coin operator or a shift that is not for a coin of ``qubits`` qubits."""
+    if coin_op.qubits != qubits:
+        raise ValueError(f"coin state has {qubits} qubit(s) but operator acts on {coin_op.qubits}")
+    if shift.qubits != qubits:
+        raise ValueError(f"shift conditions on {shift.qubits} qubit(s) but coin holds {qubits}")
+
+
 def _as_complex_matrix(entries) -> np.ndarray:
     m = np.array(entries, dtype=complex, order="C")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

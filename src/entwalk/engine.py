@@ -8,9 +8,9 @@ coin column, into a workspace; the shift then copies each coin plane into
 the grown window.  :func:`evolve` keeps one workspace for the whole walk.
 A walk whose coin state and coin operator are both real runs on ``float64``
 windows, half the memory of ``complex128`` ones, with the same bits.
-A walk too large for a window is refused before it starts.  No
-renormalization is ever applied, so any unitarity defect accumulates
-visibly in the state norm instead of being hidden.
+A walk too large for a window is refused when its :class:`WalkConfig` is
+built.  No renormalization is ever applied, so any unitarity defect
+accumulates visibly in the state norm instead of being hidden.
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoinOperator, CoinState, Distribution, SiteAmplitudes, WalkState, _coordinates
+from .core import CoinOperator, CoinState, Distribution, SiteAmplitudes, WalkState
+from .core import _check_qubits, _coordinates, _step_count
 from .shifts import DisplacementTable, _shift_amplitudes, _shifted_shape, _window_cost
 
 __all__ = [
     "MAX_WALK_WORK",
     "MAX_WINDOW_AMPLITUDES",
     "WalkConfig",
-    "check_walk_cost",
     "evolve",
     "initial_state",
     "position_distribution",
@@ -71,11 +71,16 @@ _BUFFERED_BELOW = 8192 // 3 + 1
 
 @dataclass(frozen=True)
 class WalkConfig:
-    """Complete description of a walk run.
+    """Complete description of a walk run, checked once, when it is built.
 
     Fields must agree: coin state, coin operator and shift share one qubit
-    count, and the initial position (default: origin) has one coordinate per
-    lattice dimension of the shift.
+    count, ``steps`` is a nonnegative int (anything ``operator.index``
+    takes, stored as a Python int), and the initial position (default:
+    origin) has one coordinate per lattice dimension of the shift.  Last,
+    without allocating anything, a walk whose final window would exceed
+    ``MAX_WINDOW_AMPLITUDES`` or whose work would exceed ``MAX_WALK_WORK``
+    is refused.  Every refusal is a ValueError; :func:`evolve` runs any
+    config that was built.
     """
 
     coin_state: CoinState
@@ -85,18 +90,9 @@ class WalkConfig:
     initial_position: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.coin_state.qubits != self.coin_op.qubits:
-            raise ValueError(
-                f"coin state has {self.coin_state.qubits} qubit(s) "
-                f"but operator acts on {self.coin_op.qubits}"
-            )
-        if self.shift.qubits != self.coin_state.qubits:
-            raise ValueError(
-                f"shift conditions on {self.shift.qubits} qubit(s) "
-                f"but coin holds {self.coin_state.qubits}"
-            )
-        if self.steps < 0:
-            raise ValueError(f"step count must be nonnegative, got {self.steps}")
+        _check_qubits(self.coin_state.qubits, self.coin_op, self.shift)
+        steps = _step_count(self.steps)
+        object.__setattr__(self, "steps", steps)
         pos = self.initial_position
         pos = (0,) * self.shift.dims if pos is None else _coordinates(pos, "initial position")
         if len(pos) != self.shift.dims:
@@ -104,6 +100,13 @@ class WalkConfig:
                 f"initial position {pos} does not have {self.shift.dims} component(s)"
             )
         object.__setattr__(self, "initial_position", pos)
+        window, work = _walk_cost(self)
+        if window > MAX_WINDOW_AMPLITUDES:
+            raise ValueError(
+                f"{steps} steps need a window of {window} amplitudes, over {MAX_WINDOW_AMPLITUDES=}"
+            )
+        if work > MAX_WALK_WORK:
+            raise ValueError(f"{steps} steps need {work} amplitude updates, over {MAX_WALK_WORK=}")
 
 
 def initial_state(cfg: WalkConfig) -> WalkState:
@@ -157,10 +160,7 @@ def step(
     overwrites.  It changes no result, and the returned state never shares
     its memory, so one workspace can serve every step of a walk.
     """
-    if coin_op.qubits != state.qubits:
-        raise ValueError(f"operator acts on {coin_op.qubits} qubit(s), state holds {state.qubits}")
-    if shift.qubits != state.qubits:
-        raise ValueError(f"shift conditions on {shift.qubits} qubit(s), state holds {state.qubits}")
+    _check_qubits(state.qubits, coin_op, shift)
     if shift.dims != state.dims:
         raise ValueError(f"shift is {shift.dims}D, state is {state.dims}D")
     sites = state.amplitudes
@@ -207,29 +207,12 @@ def _walk_cost(cfg: WalkConfig) -> tuple[int, int]:
     return _window_cost(cfg.steps, cfg.shift._layout.span, cfg.coin_op.dim)
 
 
-def check_walk_cost(cfg: WalkConfig) -> int:
-    """Refuse a walk its window cannot hold; return the final window's amplitude count.
-
-    Raises ValueError, without allocating anything, when the final window
-    would exceed ``MAX_WINDOW_AMPLITUDES`` or the whole walk ``MAX_WALK_WORK``.
-    """
-    window, work = _walk_cost(cfg)
-    if window > MAX_WINDOW_AMPLITUDES:
-        raise ValueError(
-            f"{cfg.steps} steps need a window of {window} amplitudes, over {MAX_WINDOW_AMPLITUDES=}"
-        )
-    if work > MAX_WALK_WORK:
-        raise ValueError(f"{cfg.steps} steps need {work} amplitude updates, over {MAX_WALK_WORK=}")
-    return window
-
-
 def evolve(cfg: WalkConfig) -> WalkState:
     """State after ``cfg.steps`` applications of the step operator.
 
-    Raises ValueError, before allocating anything, for a walk that
-    :func:`check_walk_cost` refuses.
+    The walk's caps were checked when ``cfg`` was built (:class:`WalkConfig`).
     """
-    window = check_walk_cost(cfg)
+    window = _walk_cost(cfg)[0]
     state = initial_state(cfg)
     # One workspace for every step's two coin blocks, in the dtype that
     # every step keeps: no step's block is larger than the final window, nor

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -219,6 +220,21 @@ def test_correlated_walk_requires_a_1d_two_qubit_move_table(table):
         correlated_walk_distribution(1, FAIR_INDEPENDENT, table)
     with pytest.raises(ValueError, match="1D table over 2 qubits"):
         check_walk_cost(1, table)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+def test_classical_step_count_must_be_an_int(n):
+    for walk in (lambda: correlated_walk_distribution(n, FAIR_INDEPENDENT), lambda: check_walk_cost(n)):
+        with pytest.raises(ValueError, match=r"^step count must be an int, got "):
+            walk()
+
+
+def test_classical_walk_takes_numpy_integer_step_counts():
+    d = correlated_walk_distribution(np.int64(3), FAIR_INDEPENDENT)
+    labels = list(d.labels([d.offsets[0].tolist()])[0])
+    assert d.origin == (-3,) and type(d.origin[0]) is int and all(type(x) is int for x in labels)
+    assert probs(d) == probs(correlated_walk_distribution(3, FAIR_INDEPENDENT))
+    assert check_walk_cost(np.int64(3)) == check_walk_cost(3)
 
 
 def test_correlated_walk_scaled_moves_scale_positions():

@@ -847,6 +847,13 @@ VALIDATION_ERRORS = {
         "positions is empty; omit the key for the union of both supports",
     "[experiment]\nmode = compare\ninitial_position = 5\n":  # the classical walk starts at 0
         "compare mode starts both walks at the origin, got initial_position = 5",
+    # a walk's caps are checked when it is built, before compare's lattice rules
+    "[experiment]\nmode = compare\ncoin = ghz3\nshift = s_2d\nsteps = 1000000000\n":
+        "1000000000 steps need a window of 32000000032000000008 amplitudes, "
+        "over MAX_WINDOW_AMPLITUDES=8388608",
+    "[experiment]\nmode = compare\ninitial_position = 5\nshift = custom\n"
+    "shift_table = 1000000 0 0 -1000000\nsteps = 10\n":
+        "10 steps need a window of 80000004 amplitudes, over MAX_WINDOW_AMPLITUDES=8388608",
     "[experiment]\nmode = quantum\nshift = custom\nshift_table = 0 0 0 0\nsteps = 3000000\n":
         # a walk that never grows still pays each step's fixed cost
         "3000000 steps need 12300000000 amplitude updates, over MAX_WALK_WORK=10000000000",
@@ -1292,6 +1299,53 @@ def test_batch_rename_failure_names_the_output_and_leaves_no_file(tmp_path, caps
         f"error: i/o: [Errno 13] Permission denied: '{tmp_path / 'out.1.csv'}'\n"
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+
+def test_batch_rename_failure_keeps_the_outputs_renamed_before_it(tmp_path, capsys, monkeypatch):
+    # every job runs and every temporary is written before the first
+    # rename; the renames then run one by one, so a failing second one
+    # leaves the first output in place and removes its own temporary
+    cfg = write_config(
+        tmp_path,
+        QUANTUM_BASE.format(steps=2, fmt="csv", out=tmp_path / "out.csv")
+        + "\n[experiment.1]\nsteps = 1\n\n[experiment.2]\n",
+    )
+    replace, calls = os.replace, []
+
+    def second_fails(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise PermissionError(errno.EACCES, "Permission denied", src)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", second_fails)
+    assert run(cfg) == EXIT_IO
+    assert capsys.readouterr().err == (
+        f"error: i/o: [Errno 13] Permission denied: '{tmp_path / 'out.2.csv'}'\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "out.1.csv"]
+    assert (tmp_path / "out.1.csv").read_text() == "position,probability\n-1,0.5\n1,0.5\n"
+
+
+def test_output_whose_temporary_is_refused_is_written_in_place(tmp_path, monkeypatch):
+    # a directory that refuses a new file, as a read-only one does for a
+    # user whom file modes bind: the output is written in place
+    out = tmp_path / "walk.csv"
+    out.write_text("old\n")
+    inode = out.stat().st_ino
+    cfg = write_config(tmp_path, QUANTUM_BASE.format(steps=1, fmt="csv", out=out))
+    real_open = os.open
+
+    def refuse_temporaries(path, flags, *args, **kwargs):
+        if os.fspath(path).endswith(".tmp"):
+            raise PermissionError(errno.EACCES, "Permission denied", path)
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", refuse_temporaries)
+    assert run(cfg, quiet=True) == EXIT_OK
+    assert out.read_text() == "position,probability\n-1,0.5\n1,0.5\n"
+    assert out.stat().st_ino == inode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "walk.csv"]
 
 
 def test_output_to_a_device_is_written_in_place(tmp_path):

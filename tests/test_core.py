@@ -179,9 +179,12 @@ def test_coin_operator_validates_unitarity():
                 CoinOperator(u)
     with pytest.raises(ValueError, match="not unitary"):
         CoinOperator(np.full((4, 4), 0.5))
-    # entries whose products pass float64
+    # entries whose products pass float64: the products are inf
     with pytest.raises(ValueError, match=r"not unitary: max \|U U\^dag - I\| = inf$"):
         CoinOperator(np.full((2, 2), 1e200))
+    # finite products whose row sums pass float64: math.fsum raises OverflowError
+    with pytest.raises(ValueError, match=r"not unitary: max \|U U\^dag - I\| = inf$"):
+        CoinOperator(np.full((2, 2), 1e154))
 
 
 def test_unitarity_defect_takes_any_memory_layout():

@@ -1,7 +1,8 @@
 """Every demo runs to exit 0 and prints something: each ``demos/*.py``
 script in this process, as ``python demos/<script>.py`` would run it, and
 each ``demos/*.ini`` config through ``entwalk.cli.run``.  The README's
-example config runs too, and the CI workflow loads as YAML.
+library quickstart and example config run too, and the CI workflow loads
+as YAML.
 
 Every demo's stdout is pinned by its sha256.  A script's digest is written
 here; a demo config that a golden config pins prints the golden csv bytes:
@@ -51,6 +52,14 @@ def test_demo_exits_0_and_prints(capsys, demo):
     else:
         digest = SCRIPT_DIGESTS[demo.name]
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_readme_quickstart_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = readme.index("```python\n") + len("```python\n")
+    exec(compile(readme[start:readme.index("```", start)], "README.md", "exec"), {})
+    p0, entropy = capsys.readouterr().out.splitlines()
+    assert p0.startswith("0.171245") and entropy == "1.0"
 
 
 def test_readme_example_config_runs(tmp_path, monkeypatch):

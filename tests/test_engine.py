@@ -10,7 +10,6 @@ from entwalk.core import CoinState, SiteAmplitudes, WalkState, state_norm
 from entwalk.engine import (
     WalkConfig,
     _walk_cost,
-    check_walk_cost,
     evolve,
     initial_state,
     position_distribution,
@@ -35,14 +34,18 @@ ALL_COMBOS = [
 ]
 
 
-def make_config(coin: str, op: str, shift: str, steps: int) -> WalkConfig:
+def _parts(coin: str, op: str, shift: str, table=None) -> dict:
+    # a WalkConfig's coin state, coin operator and shift, without its steps
     coin_state = build_initial_coin(coin)
-    return WalkConfig(
+    return dict(
         coin_state=coin_state,
         coin_op=build_coin_operator(op, coin_state.qubits),
-        shift=build_shift(shift),
-        steps=steps,
+        shift=build_shift(shift, table),
     )
+
+
+def make_config(coin: str, op: str, shift: str, steps: int) -> WalkConfig:
+    return WalkConfig(**_parts(coin, op, shift), steps=steps)
 
 
 def test_combo_enumeration_is_complete():
@@ -332,32 +335,60 @@ def test_the_tracers_reads_count_the_window():
     assert np.array_equal(rows, list(sites(state).values()))
 
 
-def _with_shift(table, steps):
-    cfg = make_config("phi_plus", "hadamard_n", "s_ec", 0)
-    return WalkConfig(
-        coin_state=cfg.coin_state, coin_op=cfg.coin_op, shift=build_shift("custom", table), steps=steps
-    )
-
-
 @pytest.mark.parametrize(
-    "cfg, cap",
+    "walk, steps, cap",
     [
-        (make_config("ghz3", "hadamard_n", "s_2d", 10**9), "MAX_WINDOW_AMPLITUDES"),
-        (make_config("phi_plus", "hadamard_n", "s_ec", 10**6), "MAX_WALK_WORK"),
-        (_with_shift([10**6, 0, 0, -(10**6)], 3), "MAX_WINDOW_AMPLITUDES"),
-        (_with_shift([0, 0, 0, 0], 10**9), "MAX_WALK_WORK"),
+        (("ghz3", "hadamard_n", "s_2d"), 10**9, "MAX_WINDOW_AMPLITUDES"),
+        (("phi_plus", "hadamard_n", "s_ec"), 10**6, "MAX_WALK_WORK"),
+        (("phi_plus", "hadamard_n", "custom", [10**6, 0, 0, -(10**6)]), 3, "MAX_WINDOW_AMPLITUDES"),
+        (("phi_plus", "hadamard_n", "custom", [0, 0, 0, 0]), 10**9, "MAX_WALK_WORK"),
     ],
+    ids=["window-2d", "work-1d", "window-custom", "work-never-grows"],
 )
-@pytest.mark.parametrize("walk", [evolve, check_walk_cost])
-def test_evolve_refuses_oversized_walks_before_allocating(walk, cfg, cap):
+def test_oversized_walks_are_refused_when_built_before_allocating(walk, steps, cap):
+    parts = _parts(*walk)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=cap):
-            walk(cfg)
+            WalkConfig(**parts, steps=steps)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# The largest walks under each cap, and one step or one site past them:
+# a window that never grows costs 4 + _STEP_OVERHEAD = 4100 updates a step,
+# and one step of +-S fills a window of 4 * (1 + 2 S) amplitudes.
+@pytest.mark.parametrize(
+    "largest, past, message",
+    [
+        (([0, 0, 0, 0], 2_439_024), ([0, 0, 0, 0], 2_439_025),
+         "2439025 steps need 10000002500 amplitude updates, over MAX_WALK_WORK=10000000000"),
+        (([1_048_575, 0, 0, -1_048_575], 1), ([1_048_576, 0, 0, -1_048_576], 1),
+         "1 steps need a window of 8388612 amplitudes, over MAX_WINDOW_AMPLITUDES=8388608"),
+    ],
+    ids=["work", "window"],
+)
+def test_walk_caps_boundary(largest, past, message):
+    # built only: the largest walk under the work cap would step for a minute
+    (table, steps), (past_table, past_steps) = largest, past
+    window, work = _walk_cost(WalkConfig(**_parts("phi_plus", "hadamard_n", "custom", table), steps=steps))
+    assert window <= engine.MAX_WINDOW_AMPLITUDES and work <= engine.MAX_WALK_WORK
+    with pytest.raises(ValueError) as refused:
+        WalkConfig(**_parts("phi_plus", "hadamard_n", "custom", past_table), steps=past_steps)
+    assert str(refused.value) == message
+
+
+def test_evolve_runs_a_config_without_checking_its_caps_again(monkeypatch):
+    # the caps are checked once, when the config is built
+    cfg = make_config("phi_plus", "hadamard_n", "s_ec", 5)
+    monkeypatch.setattr(engine, "MAX_WINDOW_AMPLITUDES", 0)
+    monkeypatch.setattr(engine, "MAX_WALK_WORK", 0)
+    assert state_norm(evolve(cfg)) == pytest.approx(1.0, abs=1e-14)
+    with pytest.raises(ValueError, match="MAX_WINDOW_AMPLITUDES=0"):
+        make_config("phi_plus", "hadamard_n", "s_ec", 5)
+    assert not hasattr(engine, "check_walk_cost")
 
 
 @pytest.mark.parametrize("combo", [("ghz3", "y_n", "s_2d"), ("theta1", "hadamard_n", "s_ec_prime")])
@@ -595,9 +626,9 @@ def test_walk_config_validates_agreement():
     bell = build_initial_coin("phi_plus")
     ghz = build_initial_coin("ghz3")
     hh = build_coin_operator("hadamard_n", 2)
-    with pytest.raises(ValueError, match="operator"):
+    with pytest.raises(ValueError, match=r"^coin state has 3 qubit\(s\) but operator acts on 2$"):
         WalkConfig(coin_state=ghz, coin_op=hh, shift=build_shift("s_3a"), steps=1)
-    with pytest.raises(ValueError, match="shift"):
+    with pytest.raises(ValueError, match=r"^shift conditions on 1 qubit\(s\) but coin holds 2$"):
         WalkConfig(coin_state=bell, coin_op=hh, shift=build_shift("s_single"), steps=1)
     with pytest.raises(ValueError, match="nonnegative"):
         WalkConfig(coin_state=bell, coin_op=hh, shift=build_shift("s_ec"), steps=-1)
@@ -611,12 +642,27 @@ def test_walk_config_validates_agreement():
         )
 
 
+@pytest.mark.parametrize(
+    "steps", [2.5, 3.0, np.float64(3), "3", None, (3,)], ids=["2.5", "3.0", "float64", "str", "None", "tuple"]
+)
+def test_walk_config_refuses_a_step_count_that_is_not_an_int(steps):
+    with pytest.raises(ValueError, match=r"^step count must be an int, got "):
+        WalkConfig(**_parts("phi_plus", "hadamard_n", "s_ec"), steps=steps)
+
+
+def test_walk_config_takes_numpy_integer_step_counts():
+    cfg = WalkConfig(**_parts("phi_plus", "hadamard_n", "s_ec"), steps=np.int64(3))
+    assert type(cfg.steps) is int and cfg == make_config("phi_plus", "hadamard_n", "s_ec", 3)
+    assert evolve(cfg) == evolve(make_config("phi_plus", "hadamard_n", "s_ec", 3))
+
+
+# WalkConfig and step refuse a mismatch in one wording, the CLI's.
 def test_step_validates_agreement():
     cfg = make_config("phi_plus", "hadamard_n", "s_ec", 0)
     state = initial_state(cfg)
-    with pytest.raises(ValueError, match="qubit"):
+    with pytest.raises(ValueError, match=r"^coin state has 2 qubit\(s\) but operator acts on 1$"):
         step(state, build_coin_operator("hadamard_n", 1), cfg.shift)
-    with pytest.raises(ValueError, match="conditions"):
+    with pytest.raises(ValueError, match=r"^shift conditions on 1 qubit\(s\) but coin holds 2$"):
         step(state, cfg.coin_op, build_shift("s_single"))
     ghz = initial_state(make_config("ghz3", "hadamard_n", "s_2d", 0))
     with pytest.raises(ValueError, match="shift is 1D, state is 2D"):
