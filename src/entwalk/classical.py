@@ -42,8 +42,9 @@ MAX_WINDOW_SITES = 10_000_000  # window cap; at most three float64 arrays this l
 # Time cap on the sites the steps write, summed over the steps, plus
 # shifts._STEP_OVERHEAD a step.  On one 2-vCPU host (numpy 2.4.6) a counted
 # update took 1.3-2.4 ns on windows of 4*10**4 sites and 4.3 ns on 4*10**5,
-# so the largest walk the cap takes, 221567 steps of the default moves at
-# rho = 0.5, ran 215 s.
+# and a one-site step 2.2-2.3 us.  So the largest walks the cap takes,
+# 223349 steps of the default moves at rho = 0.5 and 97465886 steps of a
+# window that never grows, run about 3.5-4 minutes each.
 MAX_WINDOW_UPDATES = 5 * 10**10
 
 

@@ -358,7 +358,8 @@ def _parse_fields(name: str, section: dict, **given) -> dict:
 def _build_experiment(exp: dict, cls: dict) -> SimpleNamespace:
     # One job: every key of both sections as an attribute, and what is built,
     # and so checked, from them: the classical coin pair, then quantum and
-    # compare's walk or entropy's coin state.
+    # compare's walk or entropy's table.  The library code that builds a part
+    # is the one check of it.
     _check_keys("experiment", exp)
     if "mode" not in exp:
         raise ValidationError("experiment.mode is required")
@@ -369,14 +370,12 @@ def _build_experiment(exp: dict, cls: dict) -> SimpleNamespace:
     job = SimpleNamespace(**_parse_fields("classical", cls, **given))
     if job.model not in ("binomial", "correlated"):
         raise ValidationError(f"classical.model must be 'binomial' or 'correlated', got {job.model!r}")
-    if job.n < 0:
-        raise ValidationError(f"classical.n must be nonnegative, got {job.n}")
     try:
+        check_walk_cost(job.n, job.moves)
         if job.model == "binomial":
             job.pair = JointCoinDistribution.from_bias(job.p)
         else:
             job.pair = JointCoinDistribution.from_correlation(job.rho)
-        check_walk_cost(job.n, job.moves)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
     vars(job).update(_parse_fields("experiment", exp))
@@ -384,8 +383,6 @@ def _build_experiment(exp: dict, cls: dict) -> SimpleNamespace:
         raise ValidationError(f"mode must be one of {MODES}, got {job.mode!r}")
     if job.output_format not in OUTPUT_FORMATS:
         raise ValidationError(f"output_format must be one of {OUTPUT_FORMATS}, got {job.output_format!r}")
-    if job.steps < 0:
-        raise ValidationError(f"steps must be nonnegative, got {job.steps}")
     if job.output == "":
         raise ValidationError("output is empty; omit the key to write to stdout")
     if job.positions is not None:
@@ -416,10 +413,9 @@ def _build_experiment(exp: dict, cls: dict) -> SimpleNamespace:
                 )
         elif job.mode == "entropy":
             job.coin_state = build_initial_coin(job.coin, job.coin_amplitudes)
-            if job.coin_state.qubits < 2:
-                raise ValidationError("entropy mode requires a coin of at least two qubits")
-            if job.cut is not None and not 1 <= job.cut < job.coin_state.qubits:
-                raise ValidationError(f"cut must lie in 1..{job.coin_state.qubits - 1}, got {job.cut}")
+            # A 1-qubit coin is asked for cut 1, which entanglement_entropy refuses.
+            job.cuts = [job.cut] if job.cut is not None else list(range(1, max(job.coin_state.qubits, 2)))
+            job.entropies = [entanglement_entropy(job.coin_state, cut) for cut in job.cuts]
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
     return job
@@ -476,12 +472,10 @@ def _run_compare(cfg: SimpleNamespace, echo: dict, path: str | None) -> str:
 
 
 def _run_entropy(cfg: SimpleNamespace, echo: dict, path: str | None) -> str:
-    cuts = [cfg.cut] if cfg.cut is not None else list(range(1, cfg.coin_state.qubits))
-    entropies = [entanglement_entropy(cfg.coin_state, cut) for cut in cuts]
     meta = {"mode": cfg.mode, "coin": cfg.coin, "qubits": cfg.coin_state.qubits}
-    _emit_table(["cut", "entropy_bits"], cuts, [entropies], cfg.output_format, path, echo, meta,
+    _emit_table(["cut", "entropy_bits"], cfg.cuts, [cfg.entropies], cfg.output_format, path, echo, meta,
                 "entropies")
-    return f"entropy: coin {cfg.coin}, {len(cuts)} cut(s)"
+    return f"entropy: coin {cfg.coin}, {len(cfg.cuts)} cut(s)"
 
 
 _MODE_RUNNERS = {

@@ -37,8 +37,9 @@ __all__ = [
 # Cap on a walk's amplitude updates, summed over its steps: about 100-170
 # million a second on float64 windows and 45-90 million on complex128 ones
 # (one 2-vCPU host, numpy 2.4.6), so one to four minutes of stepping.  With
-# shifts._STEP_OVERHEAD charged a step, it stops a walk whose window never
-# grows at ~2.4 million steps, under a minute and a half.
+# shifts._STEP_OVERHEAD sites charged a step, it stops a walk whose window
+# never grows at ~9.7, ~4.9 and ~2.4 million steps with a 1-, 2- and 3-qubit
+# coin, one to two minutes each.
 MAX_WALK_WORK = 10**10
 
 # Cap on the amplitudes of one walk-state window, 16 bytes each in

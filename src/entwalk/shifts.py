@@ -50,12 +50,14 @@ SHIFT_PRESETS: dict[str, tuple[tuple[int, ...], ...]] = {
 }
 
 
-# Updates charged for one step's fixed cost, so a walk whose window never
-# grows is capped too.  On one 2-vCPU host (numpy 2.4.6) a one-site quantum
-# step takes ~18-25 us with a 2-qubit coin and ~32-34 us with a 3-qubit one,
-# the time of ~1600-3800 amplitude updates (engine.MAX_WALK_WORK); a
-# classical step on a one-site window takes ~2.2-3 us.
-_STEP_OVERHEAD = 4096
+# Sites charged for one step's fixed cost, in the walk's own per-site unit,
+# so a walk whose window never grows is capped too.  On one 2-vCPU host
+# (numpy 2.4.6), one-site steps of walks that never grow (N = 20000) took
+# 11-13 us with a 1-qubit coin, 16-18 us with a 2-qubit one and 28 us with a
+# 3-qubit one: about the time of the 1024, 2048 and 4096 amplitude updates
+# charged (engine.MAX_WALK_WORK).  A classical step took 2.2-2.3 us, about
+# the time of its 512 site updates on a large window (classical.MAX_WINDOW_UPDATES).
+_STEP_OVERHEAD = 512
 
 
 class _Layout(NamedTuple):
@@ -111,11 +113,11 @@ def _window_cost(n: int, growth: tuple[int, ...], per_site: int = 1) -> tuple[in
     # ``growth[a]`` sites a step along axis a: ``per_site`` times the sites
     # of its final window, and its work, ``per_site`` times the sites each
     # step writes, prod_a (1 + t growth_a) at step t, summed over t = 1..n,
-    # plus _STEP_OVERHEAD a step.
+    # plus _STEP_OVERHEAD sites a step.
     r = [*growth, 0]
     s1, s2 = n * (n + 1) // 2, n * (n + 1) * (2 * n + 1) // 6
     sites = n + (r[0] + r[1]) * s1 + r[0] * r[1] * s2
-    return per_site * math.prod(1 + n * x for x in growth), per_site * sites + n * _STEP_OVERHEAD
+    return per_site * math.prod(1 + n * x for x in growth), per_site * (sites + n * _STEP_OVERHEAD)
 
 
 def build_shift(preset: str, custom_table=None) -> DisplacementTable:

@@ -300,11 +300,11 @@ def test_classical_cost_counts_the_windows_the_steps_write(table, g):
 # the default moves (a window two sites wider each step).
 @pytest.mark.parametrize(
     "table, largest",
-    [(moves(0, 0, 0, 0), 12_204_051), (moves(5, 5, 5, 5), 12_204_051), (DEFAULT_MOVES, 221_567)],
+    [(moves(0, 0, 0, 0), 97_465_886), (moves(5, 5, 5, 5), 97_465_886), (DEFAULT_MOVES, 223_349)],
     ids=["span0", "span0-offset", "span2"],
 )
 def test_work_cap_boundary(table, largest):
-    # checked only: these walks would run for half a minute to four minutes
+    # checked only: these walks would run for about four minutes each
     assert check_walk_cost(largest, table)[1] <= 5 * 10**10
     with pytest.raises(ValueError, match=f"{largest + 1} steps need .* site updates, over MAX_WINDOW_UPDATES"):
         check_walk_cost(largest + 1, table)

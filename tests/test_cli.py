@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entwalk
+import entwalk.classical
 import entwalk.cli
+import entwalk.engine
 
 from entwalk.cli import (
     EXIT_IO,
@@ -815,16 +817,28 @@ VALIDATION_ERRORS = {
     "[experiment]\nmode = quantum\ncoin_operator = custom\ncoin_matrix = (1, 0) (0, 0); (0, 0) (1, 0)\n":
         "coin state has 2 qubit(s) but operator acts on 1",
     "[experiment]\nmode = quantum\nsteps = -1\n":  # negative steps
-        "steps must be nonnegative, got -1",
+        "step count must be nonnegative, got -1",
     "[experiment]\nmode = quantum\noutput_format = yaml\n":  # unknown format
         "output_format must be one of ('csv', 'json', 'gnuplot'), got 'yaml'",
     "[experiment]\nmode = classical\n[classical]\nmodel = quantum\n":  # bad model
         "classical.model must be 'binomial' or 'correlated', got 'quantum'",
     "[experiment]\nmode = entropy\ncoin = single_hadamard_bias\n":  # no bipartition
-        "entropy mode requires a coin of at least two qubits",
+        "entanglement entropy requires at least two qubits",
+    "[experiment]\nmode = entropy\ncoin = single_hadamard_bias\ncut = 1\n":
+        "entanglement entropy requires at least two qubits",
     "[experiment]\nmode = quantum\ncoin = custom\ncoin_amplitudes = (1, 0) (1, 0)\n":
         "amplitudes are not normalized: |psi|^2 = 2.0",
-    "[experiment]\nmode = classical\n[classical]\nn = -1\n": "classical.n must be nonnegative, got -1",
+    "[experiment]\nmode = classical\n[classical]\nn = -1\n": "step count must be nonnegative, got -1",
+    # the step count and the caps are checked before the coin pair
+    "[experiment]\nmode = classical\n[classical]\nn = 20000000\np = 1.5\n":
+        "window of 40000001 sites exceeds MAX_WINDOW_SITES=10000000",
+    # a step count is checked only where a walk is built: a mode that builds none does not read it
+    "[experiment]\nmode = classical\nsteps = -1\n":
+        "experiment.steps applies only to mode in ('quantum', 'compare'), got mode = 'classical'",
+    "[experiment]\nmode = entropy\nsteps = -1\n":
+        "experiment.steps applies only to mode in ('quantum', 'compare'), got mode = 'entropy'",
+    "[experiment]\nmode = quantum\nsteps = -1\noutput =\n":
+        "output is empty; omit the key to write to stdout",
     "[experiment]\nmode = compare\nsteps = 3000\n[classical]\np = 1.5\n":  # p out of range
         "step probability must lie in [0, 1], got 1.5",
     "[experiment]\nmode = compare\nsteps = 3000\n[classical]\nn = 20000000\n":  # window cap
@@ -854,11 +868,11 @@ VALIDATION_ERRORS = {
     "[experiment]\nmode = compare\ninitial_position = 5\nshift = custom\n"
     "shift_table = 1000000 0 0 -1000000\nsteps = 10\n":
         "10 steps need a window of 80000004 amplitudes, over MAX_WINDOW_AMPLITUDES=8388608",
-    "[experiment]\nmode = quantum\nshift = custom\nshift_table = 0 0 0 0\nsteps = 3000000\n":
+    "[experiment]\nmode = quantum\nshift = custom\nshift_table = 0 0 0 0\nsteps = 5000000\n":
         # a walk that never grows still pays each step's fixed cost
-        "3000000 steps need 12300000000 amplitude updates, over MAX_WALK_WORK=10000000000",
+        "5000000 steps need 10260000000 amplitude updates, over MAX_WALK_WORK=10000000000",
     "[experiment]\nmode = entropy\ncoin = ghz3\n[classical]\nn = 4999999\n":  # time cap
-        "4999999 steps need 25020479995903 site updates, over MAX_WINDOW_UPDATES=50000000000",
+        "4999999 steps need 25002559999487 site updates, over MAX_WINDOW_UPDATES=50000000000",
     # a missing mode wins over anything but an unknown experiment key
     "[experiment]\nsteps = abc\n[classical]\nbogus = 1\n": "experiment.mode is required",
     # the classical checks win over every experiment value
@@ -867,9 +881,9 @@ VALIDATION_ERRORS = {
     "[experiment]\nmode = quantum\n[classical]\nmodel = bad\nn = -1\n":
         "classical.model must be 'binomial' or 'correlated', got 'bad'",
     "[experiment]\nmode = warp\nsteps = abc\n[classical]\nn = -1\n":
-        "classical.n must be nonnegative, got -1",
+        "step count must be nonnegative, got -1",
     "[experiment]\nmode = quantum\n[classical]\nn = -1\np = 2\n":
-        "classical.n must be nonnegative, got -1",
+        "step count must be nonnegative, got -1",
     # custom data beside a preset: the preset's data is used, so the data is refused
     "[experiment]\nmode = quantum\ncoin_amplitudes = (1, 0)\ncoin_matrix = (1, 0) (0, 0); (0, 0) (1, 0)\n"
     "shift_table = 1 -1\nsteps = 2\n":
@@ -884,7 +898,7 @@ VALIDATION_ERRORS = {
     "[experiment]\nmode = warp\nshift_table = 1 -1\n":
         "experiment.shift_table applies only to shift = 'custom', got shift = 's_ec'",
     "[experiment]\nmode = quantum\nshift_table = 1 -1\n[classical]\nn = -1\n":
-        "classical.n must be nonnegative, got -1",
+        "step count must be nonnegative, got -1",
     # the experiment checks, in field order
     "[experiment]\nmode = warp\noutput_format = yaml\nsteps = -1\n":
         "mode must be one of ('quantum', 'classical', 'compare', 'entropy'), got 'warp'",
@@ -1218,23 +1232,49 @@ def test_compare_checks_classical_values_before_walking(tmp_path, capsys, monkey
     assert capsys.readouterr().err == f"error: validation: {VALIDATION_ERRORS[text]}\n"
 
 
+def _sentinel(rule):
+    # ``rule``, with each of its refusals replaced by ValueError("sentinel")
+    def refuse(*args):
+        try:
+            return rule(*args)
+        except ValueError:
+            raise ValueError("sentinel") from None
+
+    return refuse
+
+
 @pytest.mark.parametrize(
-    "model, builder", [("binomial", "from_bias"), ("correlated", "from_correlation")]
+    "owner, name, job",
+    [
+        (entwalk.engine, "_step_count", "[experiment.2]\nsteps = -1\n"),
+        (entwalk.classical, "_step_count", "[experiment.2]\n[classical.2]\nn = -1\n"),
+        (JointCoinDistribution, "from_bias", "[experiment.2]\n[classical.2]\np = 2\n"),
+        (JointCoinDistribution, "from_correlation", "[experiment.2]\n[classical.2]\nrho = 2\n"),
+        (entwalk.cli, "entanglement_entropy",
+         "[experiment.2]\nmode = entropy\ncoin = single_hadamard_bias\n"),
+        (entwalk.cli, "entanglement_entropy", "[experiment.2]\nmode = entropy\ncut = 2\n"),
+    ],
+    ids=["steps", "classical-n", "p", "rho", "entropy-one-qubit", "entropy-cut"],
 )
-def test_cli_takes_classical_value_checks_from_classical(tmp_path, capsys, monkeypatch, model, builder):
-    # The p and rho rules live in classical: whatever its pair builder
-    # refuses, the CLI refuses with that message, before any walk.
-    def refuse(value):
-        raise ValueError("sentinel")
-
+def test_cli_takes_job_rules_from_the_library(tmp_path, capsys, monkeypatch, owner, name, job):
+    # Each job rule lives in the library code that builds the job's part:
+    # the step count in core._step_count, p and rho in classical's pair
+    # builders, the entropy rules in coins.entanglement_entropy.  Whatever
+    # that code refuses, the CLI refuses with its message, while it builds
+    # the jobs, before the first one runs.
     def no_evolve(cfg):
-        raise AssertionError("compare mode walked before checking the classical walk")
+        raise AssertionError("a batch job ran before every job was built")
 
-    monkeypatch.setattr(JointCoinDistribution, builder, refuse)
+    monkeypatch.setattr(owner, name, _sentinel(getattr(owner, name)))
     monkeypatch.setattr("entwalk.cli.evolve", no_evolve)
-    cfg = write_config(tmp_path, f"[experiment]\nmode = compare\n[classical]\nmodel = {model}\n")
+    cfg = write_config(
+        tmp_path,
+        QUANTUM_BASE.format(steps=2, fmt="csv", out=tmp_path / "out.csv")
+        + "\n[experiment.1]\nsteps = 1\n" + job,
+    )
     assert run(cfg, quiet=True) == EXIT_VALIDATION
     assert capsys.readouterr().err == "error: validation: sentinel\n"
+    assert list(tmp_path.glob("out*")) == []
 
 
 # A batch fault in [experiment.2] -> its error line, the one a single-job
@@ -1242,6 +1282,10 @@ def test_cli_takes_classical_value_checks_from_classical(tmp_path, capsys, monke
 BATCH_FAULTS = {
     "coin": ("coin = bogus\n", VALIDATION_ERRORS["[experiment]\nmode = quantum\ncoin = bogus\n"]),
     "cut": ("mode = entropy\ncut = 2\n", "cut must lie in 1..1, got 2"),
+    "one-qubit-entropy": (
+        "mode = entropy\ncoin = single_hadamard_bias\n",
+        VALIDATION_ERRORS["[experiment]\nmode = entropy\ncoin = single_hadamard_bias\n"],
+    ),
     "window-cap": (
         "coin = ghz3\nshift = s_2d\nsteps = 1000000000\n",
         "1000000000 steps need a window of 32000000032000000008 amplitudes, "

@@ -358,25 +358,30 @@ def test_oversized_walks_are_refused_when_built_before_allocating(walk, steps, c
 
 
 # The largest walks under each cap, and one step or one site past them:
-# a window that never grows costs 4 + _STEP_OVERHEAD = 4100 updates a step,
-# and one step of +-S fills a window of 4 * (1 + 2 S) amplitudes.
+# a window that never grows costs dim * (1 + _STEP_OVERHEAD) = 513 dim
+# updates a step, and one step of +-S fills a window of 4 * (1 + 2 S)
+# amplitudes.  A 3-qubit step is charged 8 * 512 = 4096 updates.
 @pytest.mark.parametrize(
-    "largest, past, message",
+    "coin, largest, past, message",
     [
-        (([0, 0, 0, 0], 2_439_024), ([0, 0, 0, 0], 2_439_025),
-         "2439025 steps need 10000002500 amplitude updates, over MAX_WALK_WORK=10000000000"),
-        (([1_048_575, 0, 0, -1_048_575], 1), ([1_048_576, 0, 0, -1_048_576], 1),
+        ("phi_plus", ([0] * 4, 4_873_294), ([0] * 4, 4_873_295),
+         "4873295 steps need 10000001340 amplitude updates, over MAX_WALK_WORK=10000000000"),
+        ("single_hadamard_bias", ([0] * 2, 9_746_588), ([0] * 2, 9_746_589),
+         "9746589 steps need 10000000314 amplitude updates, over MAX_WALK_WORK=10000000000"),
+        ("ghz3", ([0] * 8, 2_436_647), ([0] * 8, 2_436_648),
+         "2436648 steps need 10000003392 amplitude updates, over MAX_WALK_WORK=10000000000"),
+        ("phi_plus", ([1_048_575, 0, 0, -1_048_575], 1), ([1_048_576, 0, 0, -1_048_576], 1),
          "1 steps need a window of 8388612 amplitudes, over MAX_WINDOW_AMPLITUDES=8388608"),
     ],
-    ids=["work", "window"],
+    ids=["work", "work-1q", "work-3q", "window"],
 )
-def test_walk_caps_boundary(largest, past, message):
-    # built only: the largest walk under the work cap would step for a minute
+def test_walk_caps_boundary(coin, largest, past, message):
+    # built only: the largest walks under the work cap would step for one to two minutes
     (table, steps), (past_table, past_steps) = largest, past
-    window, work = _walk_cost(WalkConfig(**_parts("phi_plus", "hadamard_n", "custom", table), steps=steps))
+    window, work = _walk_cost(WalkConfig(**_parts(coin, "hadamard_n", "custom", table), steps=steps))
     assert window <= engine.MAX_WINDOW_AMPLITUDES and work <= engine.MAX_WALK_WORK
     with pytest.raises(ValueError) as refused:
-        WalkConfig(**_parts("phi_plus", "hadamard_n", "custom", past_table), steps=past_steps)
+        WalkConfig(**_parts(coin, "hadamard_n", "custom", past_table), steps=past_steps)
     assert str(refused.value) == message
 
 
@@ -400,7 +405,7 @@ def test_walk_cost_counts_the_windows_the_steps_write(combo):
         written += state.amplitudes.window.size
     final, work = _walk_cost(cfg)
     assert final == state.amplitudes.window.size
-    assert work == written + cfg.steps * _STEP_OVERHEAD
+    assert work == written + cfg.steps * cfg.coin_op.dim * _STEP_OVERHEAD
 
 
 def _as_complex(state: WalkState) -> WalkState:
