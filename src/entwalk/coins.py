@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import MAX_QUBITS, CoinOperator, CoinState, _preset_data
+from .core import MAX_QUBITS, CoinOperator, CoinState, _as_int, _preset_data
 
 __all__ = [
     "COIN_OPERATOR_KINDS",
@@ -73,14 +73,16 @@ def build_coin_operator(kind: str, qubits: int, custom_matrix=None) -> CoinOpera
     ``kind`` is ``"hadamard_n"`` for the q-fold tensor power of the Hadamard
     matrix, ``"y_n"`` for that of Y = (1/sqrt(2)) [[1, i], [i, 1]], or
     ``"custom"`` for ``CoinOperator(custom_matrix)``, a matrix of dimension
-    ``2**q`` for q in 1..3, unitary within 1e-12.  ``qubits``, 1..3, sizes
-    only a tensor power: a custom matrix sets its own (``WalkConfig``
-    checks that it matches the coin state's).  The choice follows the
-    preset rule of ``core._preset_data``.
+    ``2**q`` for q in 1..3, unitary within 1e-12.  ``qubits``, an int
+    (anything ``operator.index`` takes) in 1..3, sizes only a tensor power:
+    a custom matrix sets its own (``WalkConfig`` checks that it matches the
+    coin state's).  The choice follows the preset rule of
+    ``core._preset_data``.
     """
     matrix = _preset_data(_TENSOR_BASES, kind, custom_matrix, "coin operator kind", "coin operator",
                           "a matrix")
     if kind != "custom":
+        qubits = _as_int(qubits, "qubit count")
         if not 1 <= qubits <= MAX_QUBITS:
             raise ValueError(f"coin operator must act on 1..{MAX_QUBITS} qubits, got {qubits}")
         base = matrix
@@ -119,10 +121,12 @@ def entanglement_entropy(state: CoinState, cut: int = 1) -> float:
     Raises
     ------
     ValueError
-        Single-qubit state (no bipartition exists) or cut index out of range.
+        Single-qubit state (no bipartition exists), or a cut that is not an
+        int (anything ``operator.index`` takes) or is out of range.
     """
     if state.qubits < 2:
         raise ValueError("entanglement entropy requires at least two qubits")
+    cut = _as_int(cut, "cut")
     if not 1 <= cut < state.qubits:
         raise ValueError(f"cut must lie in 1..{state.qubits - 1}, got {cut}")
     amps = state.amplitudes.tolist()

@@ -89,16 +89,22 @@ def _coordinates(value, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be an int or a sequence of ints, got {value!r}") from None
 
 
-def _step_count(n) -> int:
-    """``n`` as a Python int: anything ``operator.index`` takes, at least 0.
-
-    Anything else, such as a float or a string, and a negative count raise
-    ValueError.
+def _as_int(value, what: str) -> int:
+    """``value`` as a Python int: anything ``operator.index`` takes, numpy
+    integers included.  Anything else, such as a float or a string, raises
+    ValueError naming ``what``, such as ``"cut"``.
     """
     try:
-        n = operator.index(n)
+        return operator.index(value)
     except TypeError:
-        raise ValueError(f"step count must be an int, got {n!r}") from None
+        raise ValueError(f"{what} must be an int, got {value!r}") from None
+
+
+def _step_count(n) -> int:
+    """``n`` as a Python int (:func:`_as_int`), at least 0; a negative count
+    raises ValueError too.
+    """
+    n = _as_int(n, "step count")
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
     return n
@@ -289,10 +295,11 @@ class WalkState:
 
     ``amplitudes`` is a :class:`SiteAmplitudes` over a coin-major window of
     shape ``(2**qubits, extent...)``, ``complex128`` or, for a real walk,
-    ``float64``.  It is adopted as it is, so a state is built from a window
-    and its origin, ``SiteAmplitudes(window, origin)``, or from another
-    state's ``amplitudes``.  Instances are immutable values, compared by
-    value; evolution produces new ones.  ``dims`` and ``qubits`` are
+    ``float64``; any other dtype raises ValueError.  It is adopted as it
+    is, so a state is built from a window and its origin,
+    ``SiteAmplitudes(window, origin)``, or from another state's
+    ``amplitudes``.  Instances are immutable values, compared by value;
+    evolution produces new ones.  ``dims`` and ``qubits`` are
     inputs, not derived from the window, only because the benchmark's
     tracer builds states with these keywords.
     """
@@ -308,7 +315,10 @@ class WalkState:
             raise TypeError(
                 f"amplitudes must be a SiteAmplitudes(window, origin), got {type(self.amplitudes).__name__}"
             )
-        shape = self.amplitudes.window.shape
+        window = self.amplitudes.window
+        if window.dtype not in (np.float64, np.complex128):
+            raise ValueError(f"window dtype must be float64 or complex128, got {window.dtype}")
+        shape = window.shape
         if len(shape) != self.dims + 1 or _register_qubits(shape[0], "coin plane count") != self.qubits:
             raise ValueError(
                 f"window of shape {shape} does not hold {self.dims}D sites of {self.qubits} qubit(s)"

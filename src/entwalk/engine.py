@@ -55,19 +55,14 @@ MAX_WINDOW_AMPLITUDES = 2**23
 _BLOCK_AMPLITUDES = 2**15
 
 # numpy (2.4) runs the coin's (dim, 1) x (n,) broadcast multiply through its
-# ufunc buffers when dim > 2 and n is under a third of the buffer size, 8192
-# elements by default: at ~1.0-1.5 ns an element, against ~0.3 ns
-# unbuffered (one 2-vCPU host).  So a step whose blocks hold from
-# _UNBUFFERED_SITES to _BUFFERED_BELOW sites runs its coin with buffers of
-# _UFUNC_BUFSIZE elements, which leaves every product over 170 sites
-# unbuffered; buffering changes no product's bits.  Setting and resetting
-# the size costs ~2 us, and larger blocks would then run in 512-element
-# pieces (~10 us more a step at 20001 sites).  From ~256 sites on it would
-# pay too, but a fresh walk2d_ghz request then peaked ~0.2 MB higher
-# (median of 20 processes): its heap-allocated windows lay out differently.
+# ufunc buffers when dim > 2 and n is at most a third of the buffer size
+# (8192 elements by default): ~1.0-1.5 ns an element, against ~0.3 ns
+# unbuffered (one 2-vCPU host).  So a dim > 2 step whose largest block holds
+# more than _UFUNC_BUFSIZE // 3 sites runs its coin with buffers of
+# _UFUNC_BUFSIZE elements, which numpy then leaves unused; a smaller block is
+# buffered at either size, so its step skips the ~2 us of setting and
+# resetting the size.  Buffering changes no product's bits.
 _UFUNC_BUFSIZE = 512
-_UNBUFFERED_SITES = 1024
-_BUFFERED_BELOW = 8192 // 3 + 1
 
 
 @dataclass(frozen=True)
@@ -184,7 +179,7 @@ def step(
     # cancel exactly, and exact zeros define the support.
     columns = matrix.reshape(matrix.shape + (1,) * state.dims)
     widest = need // (2 * coin_op.dim)  # sites in the largest block
-    unbuffered = coin_op.dim > 2 and _UNBUFFERED_SITES <= widest < _BUFFERED_BELOW
+    unbuffered = coin_op.dim > 2 and widest > _UFUNC_BUFSIZE // 3
     bufsize = np.setbufsize(_UFUNC_BUFSIZE) if unbuffered else None
     try:
         for b in range(blocks):

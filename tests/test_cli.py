@@ -1083,14 +1083,16 @@ def test_an_omitted_key_means_its_default(tmp_path, capsys, mode, model, fmt):
 def test_the_readme_key_table_is_the_key_table():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     lines = readme[readme.index("| key | read in mode | read only beside | default |"):].splitlines()
+    table = list(itertools.takewhile(lambda line: line.startswith("|"), lines[2:]))
     rows = {}  # (section, key) -> (modes, beside, default cell)
-    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[2:]):
+    for line in table:
         key, modes, beside, default = (cell.strip() for cell in line.strip("|").split("|"))
         section = "classical" if key.startswith("`[classical]`") else "experiment"
         modes = MODES if modes == "every mode" else tuple(m.strip() for m in modes.split(","))
         beside = tuple(beside.strip("`").split(" = ")) if beside else None
         rows[section, key.rpartition(" ")[2].strip("`")] = (modes, beside, default)
-    assert list(rows) == [(name, key) for name, table in _SECTIONS.items() for key in table]
+    assert len(rows) == len(table)  # no key twice
+    assert list(rows) == [(name, key) for name, keys in _SECTIONS.items() for key in keys]
     for (name, key), (modes, beside, default) in rows.items():
         parse, value, readers, gate = _SECTIONS[name][key]
         assert (modes, beside) == (readers, gate), key
@@ -1369,6 +1371,33 @@ def test_batch_rename_failure_keeps_the_outputs_renamed_before_it(tmp_path, caps
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "out.1.csv"]
     assert (tmp_path / "out.1.csv").read_text() == "position,probability\n-1,0.5\n1,0.5\n"
+
+
+def test_cleanup_that_cannot_remove_a_temporary_still_reports_the_first_error(tmp_path, capsys, monkeypatch):
+    # job 2's directory is missing, so the run stops after job 1 is staged;
+    # the cleanup's failure to remove job 1's temporary adds no line
+    missing = tmp_path / "missing" / "out.csv"
+    cfg = write_config(
+        tmp_path,
+        QUANTUM_BASE.format(steps=1, fmt="csv", out=tmp_path / "out.csv")
+        + f"\n[experiment.1]\n\n[experiment.2]\noutput = {missing}\n",
+    )
+    removed = []
+
+    def refuse(path):
+        removed.append(path)
+        raise PermissionError(errno.EACCES, "Permission denied", path)
+
+    monkeypatch.setattr(entwalk.cli.os, "remove", refuse)
+    assert run(cfg) == EXIT_IO
+    assert capsys.readouterr().err == (
+        f"error: i/o: [Errno 2] No such file or directory: '{tmp_path / 'missing' / 'out.2.csv'}'\n"
+    )
+    monkeypatch.undo()
+    (temp,) = removed
+    assert Path(temp).parent == tmp_path and temp.endswith(".tmp")
+    os.remove(temp)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
 
 
 def test_output_whose_temporary_is_refused_is_written_in_place(tmp_path, monkeypatch):

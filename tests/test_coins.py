@@ -142,6 +142,17 @@ def test_unknown_operator_kind_rejected():
         build_coin_operator("hadamard_n", 4)
 
 
+@pytest.mark.parametrize("qubits", [2.0, "2", None])
+def test_operator_qubit_count_must_be_an_int(qubits):
+    with pytest.raises(ValueError, match=rf"^qubit count must be an int, got {qubits!r}$"):
+        build_coin_operator("hadamard_n", qubits)
+
+
+def test_operator_takes_numpy_integer_qubit_counts():
+    op = build_coin_operator("y_n", np.int64(2))
+    assert op == build_coin_operator("y_n", 2) and op.qubits == 2
+
+
 def test_unknown_operator_kind_is_named_before_the_qubit_count():
     with pytest.raises(ValueError, match="unknown coin operator kind 'bogus'"):
         build_coin_operator("bogus", 5)
@@ -223,6 +234,19 @@ def test_entropy_rejects_invalid_cut():
         entanglement_entropy(bell, 0)
     with pytest.raises(ValueError, match="cut"):
         entanglement_entropy(bell, 2)
+
+
+@pytest.mark.parametrize("coin", ["ghz3", "theta1"])
+@pytest.mark.parametrize("cut", [1.5, 1.0, "1", None])
+def test_entropy_cut_must_be_an_int(coin, cut):
+    # a float cut of 1.5 once read the columns, as cut 2 does
+    with pytest.raises(ValueError, match=rf"^cut must be an int, got {cut!r}$"):
+        entanglement_entropy(build_initial_coin(coin), cut)
+
+
+def test_entropy_takes_numpy_integer_cuts():
+    ghz = build_initial_coin("ghz3")
+    assert entanglement_entropy(ghz, np.int64(2)) == entanglement_entropy(ghz, 2)
 
 
 @settings(deadline=None, max_examples=30)

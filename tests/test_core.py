@@ -309,6 +309,16 @@ def test_walk_state_validates_shapes():
         WalkState(dims=3, qubits=1, amplitudes=SiteAmplitudes(np.zeros((2, 0, 0, 0)), (0, 0, 0)))
 
 
+@pytest.mark.parametrize("dtype", ["float32", "complex64", "int64", "float16", ">f8", ">c16"])
+def test_walk_state_refuses_a_window_that_is_not_float64_or_complex128(dtype):
+    # the readout reads a window's floats through a float64 view, which
+    # misreads any other layout
+    window = np.zeros((2, 1), dtype=dtype)
+    window[0, 0] = 1
+    with pytest.raises(ValueError, match=rf"^window dtype must be float64 or complex128, got {window.dtype}$"):
+        WalkState(dims=1, qubits=1, amplitudes=SiteAmplitudes(window, (0,)))
+
+
 def test_state_norm_of_fresh_state_is_one():
     s = site_state(1, 2, {(0,): [SQRT1_2, 0, 0, SQRT1_2]})
     assert state_norm(s) == pytest.approx(1.0, abs=1e-15)

@@ -322,6 +322,7 @@ def test_walk_states_compare_by_value():
     assert a != WalkState(dims=2, qubits=3, amplitudes=SiteAmplitudes(changed, a.amplitudes.origin))
     with pytest.raises(TypeError):
         hash(a)
+    assert (a.amplitudes == object()) is False
 
 
 def test_the_tracers_reads_count_the_window():
@@ -563,11 +564,12 @@ def _block_cases():
 def test_blocked_steps_have_the_bits_of_one_block_steps(monkeypatch, combo):
     cfg = make_config(*combo)
     windows = {}
-    for name, block, sites in [("one", 2**40, 2**40), ("blocked", 64, 2**40), ("unbuffered", 96, 1)]:
+    for name, block, bufsize in [("one", 2**40, 2**40), ("blocked", 64, 2**40), ("unbuffered", 96, 16)]:
         # 64 and 96 amplitudes: many blocks of a few rows each, block edges
-        # everywhere; an unbuffered coin from the first site on
+        # everywhere; a buffer size that is never set, or an unbuffered coin
+        # from six sites on (numpy takes only multiples of 16)
         monkeypatch.setattr(engine, "_BLOCK_AMPLITUDES", block)
-        monkeypatch.setattr(engine, "_UNBUFFERED_SITES", sites)
+        monkeypatch.setattr(engine, "_UFUNC_BUFSIZE", bufsize)
         state = initial_state(cfg)
         seen = []
         for _ in range(cfg.steps):
@@ -578,6 +580,55 @@ def test_blocked_steps_have_the_bits_of_one_block_steps(monkeypatch, combo):
         windows[name] = seen
     assert windows["blocked"] == windows["one"]
     assert windows["unbuffered"] == windows["one"]
+    assert np.getbufsize() == 8192
+
+
+def _record_bufsizes(monkeypatch) -> list:
+    calls, setbufsize = [], np.setbufsize
+
+    def record(size):
+        calls.append(size)
+        return setbufsize(size)
+
+    monkeypatch.setattr(np, "setbufsize", record)
+    return calls
+
+
+@pytest.mark.parametrize("side, sets", [(15, [512, 8192]), (13, [])])
+def test_step_sets_small_buffers_only_where_numpy_would_buffer_the_coin(monkeypatch, side, sets):
+    # numpy buffers a dim-8 product of n sites when n <= bufsize // 3: 2730
+    # at its default 8192, 170 at 512.  A 15x15 window (225 sites) is
+    # buffered only at the default, a 13x13 one (169) at both sizes.
+    cfg = make_config("ghz3", "hadamard_n", "s_2d", 1)
+    window = np.zeros((8, side, side))
+    window[0, side // 2, side // 2] = 1.0
+    state = WalkState(dims=2, qubits=3, amplitudes=SiteAmplitudes(window, (0, 0)))
+    calls = _record_bufsizes(monkeypatch)
+    step(state, cfg.coin_op, cfg.shift)
+    assert calls == sets
+    assert np.getbufsize() == 8192
+
+
+def test_step_of_a_one_qubit_coin_never_sets_the_buffer_size(monkeypatch):
+    cfg = make_config("single_hadamard_bias", "hadamard_n", "s_single", 1)
+    state = WalkState(dims=1, qubits=1, amplitudes=SiteAmplitudes(np.ones((2, 5000)) / 100, (0,)))
+    calls = _record_bufsizes(monkeypatch)
+    step(state, cfg.coin_op, cfg.shift)
+    assert calls == []
+
+
+def test_step_restores_the_buffer_size_when_its_shift_raises(monkeypatch):
+    cfg = make_config("ghz3", "hadamard_n", "s_2d", 1)
+    state = WalkState(dims=2, qubits=3, amplitudes=SiteAmplitudes(np.zeros((8, 15, 15)), (0, 0)))
+    calls = _record_bufsizes(monkeypatch)
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("shift")
+
+    monkeypatch.setattr(engine, "_shift_amplitudes", fail)
+    with pytest.raises(RuntimeError, match="shift"):
+        step(state, cfg.coin_op, cfg.shift)
+    assert calls == [512, 8192]
     assert np.getbufsize() == 8192
 
 
