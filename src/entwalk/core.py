@@ -4,9 +4,10 @@ box of the lattice, held coin-major: one contiguous plane of the box per
 coin basis state.  A probability distribution holds its support as arrays
 of window indices, labeled on the walk's lattice as origin + step * index.
 
-Coin states and operators hold ``complex128``.  A walk window is
-``complex128`` too, except that a walk whose every amplitude is real runs
-on ``float64`` (see :func:`entwalk.engine.initial_state`).
+Coin states and operators hold ``float64`` when no entry has a nonzero
+imaginary part, and ``complex128`` otherwise.  A walk window holds numpy's
+promotion of its coin state and coin operator, so a walk whose every
+amplitude is real runs on ``float64`` (see :func:`entwalk.engine.initial_state`).
 
 Coin basis states are indexed by reading the ket label as a binary numeral
 with the leftmost symbol most significant, so ``|01>`` is index 1 and
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -127,6 +127,12 @@ def _as_complex_matrix(entries) -> np.ndarray:
     return m
 
 
+def _narrowed(a: np.ndarray) -> np.ndarray:
+    # A complex128 array's real part, as a float64 copy, when no entry has
+    # a nonzero imaginary part (-0.0 counts as zero); else the array itself.
+    return a if any(a.imag.ravel().tolist()) else a.real.copy()
+
+
 def _fsum(terms) -> float:
     """``math.fsum``, but inf, not OverflowError, for finite terms whose sum exceeds float64."""
     try:
@@ -141,7 +147,7 @@ def _unitarity_defect(m: np.ndarray) -> float:
     # depend on a summation order, and a walk request calls no einsum and no
     # complex ufunc before its walk.  M M^dag is Hermitian, so its upper
     # triangle holds every |entry|; a real M has a real M M^dag.
-    if any(m.imag.ravel().tolist()):
+    if m.dtype == np.complex128:
         rows = m.view(np.float64).tolist()  # row i: re, im, re, im, ...
         # row j times i: its float dot product with row i is Im (M M^dag)_ij
         turned = []
@@ -151,7 +157,7 @@ def _unitarity_defect(m: np.ndarray) -> float:
             t[1::2] = row[::2]
             turned.append(t)
     else:
-        rows = m.real.tolist()
+        rows = m.tolist()
         turned = None
     mul, fsum = operator.mul, math.fsum
     try:
@@ -175,7 +181,10 @@ class CoinState:
     ----------
     amplitudes : array-like of complex, length ``2**q`` for q in 1..MAX_QUBITS
         Basis amplitudes in ket-label order.  Must be normalized within
-        ``UNITARITY_TOL``.  Their count sets ``qubits``, q.
+        ``UNITARITY_TOL``.  Their count sets ``qubits``, q.  They are held
+        as a read-only ``float64`` array when no entry has a nonzero
+        imaginary part, else as ``complex128``; either compares and hashes
+        by value.
     """
 
     amplitudes: np.ndarray
@@ -190,6 +199,7 @@ class CoinState:
         norm_sq = _fsum(map(operator.mul, parts, parts))
         if abs(norm_sq - 1.0) > UNITARITY_TOL:
             raise ValueError(f"amplitudes are not normalized: |psi|^2 = {norm_sq!r}")
+        amps = _narrowed(amps)
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -210,14 +220,16 @@ class CoinOperator:
 
     The matrix must be square with dimension ``2**q`` for q in 1..MAX_QUBITS,
     which sets ``qubits``, and unitary within ``UNITARITY_TOL`` (max entry of
-    ``|U U^dag - I|``).
+    ``|U U^dag - I|``).  It is held as a read-only ``float64`` array when no
+    entry has a nonzero imaginary part, else as ``complex128``, and compares
+    and hashes by value, as :class:`CoinState`.
     """
 
     matrix: np.ndarray
     qubits: int = field(init=False)
 
     def __post_init__(self) -> None:
-        m = _as_complex_matrix(self.matrix)
+        m = _narrowed(_as_complex_matrix(self.matrix))
         object.__setattr__(self, "qubits", _register_qubits(m.shape[0], "coin operator dimension"))
         defect = _unitarity_defect(m)
         if not defect <= UNITARITY_TOL:  # also refuses a NaN defect
@@ -238,12 +250,6 @@ class CoinOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @cached_property
-    def _real_matrix(self) -> np.ndarray | None:
-        # The matrix's real part when no entry has a nonzero imaginary
-        # part, else None; looked up once per walk step.
-        return None if any(self.matrix.imag.ravel().tolist()) else self.matrix.real
-
 
 class SiteAmplitudes:
     """A dense amplitude window over a box of the lattice, and its origin.
@@ -259,19 +265,19 @@ class SiteAmplitudes:
     benchmark's tracer reads them; they go when the tracer stops.
     """
 
-    __slots__ = ("window", "origin", "_mask")
+    __slots__ = ("window", "origin")
 
     def __init__(self, window: np.ndarray, origin: tuple[int, ...]):
         window.flags.writeable = False
         self.window = window
         self.origin = origin
-        self._mask = None
 
     def occupied(self) -> np.ndarray:
-        """Boolean array over the window's sites: any nonzero coin component."""
-        if self._mask is None:
-            self._mask = (self.window != 0).any(axis=0)
-        return self._mask
+        """Boolean array over the window's sites: any nonzero coin component.
+
+        It is computed on every call; the readout calls it once a walk.
+        """
+        return (self.window != 0).any(axis=0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SiteAmplitudes):
@@ -347,7 +353,10 @@ def state_norm(state: WalkState) -> float:
 class Distribution:
     """Probability assignment over the positions of a 1D or 2D walk.
 
-    Entries must be nonnegative and sum to 1 within 1e-10.
+    Entries must be nonnegative and sum to 1 within 1e-10.  ``origin``,
+    ``step`` and ``offsets`` have one entry per axis, for 1 or 2 axes; each
+    offsets array has one entry per value, and each step is a positive int
+    (anything ``operator.index`` takes); a breach raises ValueError.
 
     The walks build one from their support held as arrays,
     ``Distribution(origin=..., offsets=..., values=..., step=...)``: per
@@ -363,8 +372,14 @@ class Distribution:
 
     def __init__(self, *, origin, offsets, values, step=None):
         self.origin, self.offsets = tuple(origin), tuple(offsets)
-        self.step = (1,) * len(self.origin) if step is None else tuple(step)
+        axes = len(self.origin)
+        self.step = (1,) * axes if step is None else tuple(_as_int(s, "lattice step") for s in step)
         self.values = np.asarray(values, dtype=np.float64)
+        lengths = [len(off) for off in self.offsets]
+        if not (axes in (1, 2) and len(self.step) == len(lengths) == axes and min(self.step) >= 1
+                and self.values.ndim == 1 and lengths.count(len(self.values)) == axes):
+            raise ValueError(f"rows do not line up: origin {self.origin}, step {self.step}, offsets of "
+                             f"lengths {lengths} and values of shape {self.values.shape}")
         total = float(np.add.reduce(self.values))
         if not (math.isfinite(total) and self.values.min(initial=0.0) >= 0.0):
             valid = (self.values >= 0.0) & (self.values < math.inf)  # NaN fails both

@@ -6,7 +6,8 @@ allocates one fresh window, grown by the shift's displacement range, and
 applies the coin unitary to every site at once, one broadcast product per
 coin column, into a workspace; the shift then copies each coin plane into
 the grown window.  :func:`evolve` keeps one workspace for the whole walk.
-A walk whose coin state and coin operator are both real runs on ``float64``
+A walk runs in numpy's promotion of its coin state and coin operator, so
+one whose coin state and coin operator are both real runs on ``float64``
 windows, half the memory of ``complex128`` ones, with the same bits.
 A walk too large for a window is refused when its :class:`WalkConfig` is
 built.  No renormalization is ever applied, so any unitarity defect
@@ -108,14 +109,13 @@ class WalkConfig:
 def initial_state(cfg: WalkConfig) -> WalkState:
     """Product state: the coin state attached to a single lattice site.
 
-    The window is ``float64`` when neither the coin state nor the coin
-    operator has a nonzero imaginary part, so every amplitude of the walk
-    is real; otherwise it is ``complex128``.
+    The window's dtype is ``np.result_type`` of the coin state's amplitudes
+    and the coin operator's matrix: ``float64`` when both are real, so every
+    amplitude of the walk is real, and ``complex128`` otherwise.
     """
     amplitudes = cfg.coin_state.amplitudes
-    if cfg.coin_op._real_matrix is not None and not any(amplitudes.imag.tolist()):
-        amplitudes = amplitudes.real
-    window = amplitudes.reshape((-1,) + (1,) * cfg.shift.dims).copy()
+    dtype = np.result_type(amplitudes, cfg.coin_op.matrix)
+    window = amplitudes.astype(dtype).reshape((-1,) + (1,) * cfg.shift.dims)
     return WalkState(
         dims=cfg.shift.dims,
         qubits=cfg.coin_state.qubits,
@@ -141,10 +141,12 @@ def step(
 ) -> WalkState:
     """One walk step: coin unitary on every site of the window, then the conditional shift.
 
-    The returned window has the state's dtype, except that a ``float64``
-    state under an operator with a nonzero imaginary part is promoted to
-    ``complex128``.  A real product rounds as the real part of the complex
-    one, so a real walk has the bits of the same walk run in ``complex128``.
+    The returned window's dtype is ``np.result_type`` of the state's window
+    and the operator's matrix: a ``float64`` state under a ``complex128``
+    operator is promoted to ``complex128``, and a ``complex128`` state runs
+    a ``float64`` operator cast to ``complex128`` (at most 8 x 8 entries).
+    A real product rounds as the real part of the complex one, so a real
+    walk has the bits of the same walk run in ``complex128``.
 
     The coin runs block by block over rows of the state's window, into a
     workspace of two blocks, and the shift copies each block's planes into
@@ -161,23 +163,21 @@ def step(
         raise ValueError(f"shift is {shift.dims}D, state is {state.dims}D")
     sites = state.amplitudes
     window = sites.window
-    matrix = coin_op.matrix
-    if window.dtype == np.float64 and coin_op._real_matrix is not None:
-        matrix = coin_op._real_matrix
+    dtype = np.result_type(window, coin_op.matrix)
     rows, blocks = window.shape[1], _blocks(window.shape)
     need = 2 * -(-rows // blocks) * (window.size // rows)
     if scratch is None:
-        scratch = np.empty(need, dtype=matrix.dtype)
-    elif scratch.dtype != matrix.dtype or scratch.size < need:
+        scratch = np.empty(need, dtype=dtype)
+    elif scratch.dtype != dtype or scratch.size < need:
         raise ValueError(
-            f"scratch holds {scratch.size} {scratch.dtype}, the step needs {need} {matrix.dtype}"
+            f"scratch holds {scratch.size} {scratch.dtype}, the step needs {need} {dtype}"
         )
-    grown = np.zeros(_shifted_shape(window.shape, shift), dtype=matrix.dtype)
+    grown = np.zeros(_shifted_shape(window.shape, shift), dtype=dtype)
     # Coin column j times coin plane j, summed over j in ascending order,
     # each product rounded before it is added and no BLAS: fused
     # multiply-adds would leave rounding residues where a site's components
     # cancel exactly, and exact zeros define the support.
-    columns = matrix.reshape(matrix.shape + (1,) * state.dims)
+    columns = coin_op.matrix.astype(dtype, copy=False).reshape(coin_op.matrix.shape + (1,) * state.dims)
     widest = need // (2 * coin_op.dim)  # sites in the largest block
     unbuffered = coin_op.dim > 2 and widest > _UFUNC_BUFSIZE // 3
     bufsize = np.setbufsize(_UFUNC_BUFSIZE) if unbuffered else None

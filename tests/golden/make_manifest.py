@@ -5,7 +5,9 @@ Each config runs once per output format (csv, json, gnuplot) through
 ``entwalk.cli.run`` in this process, writing to stdout.  The configs cover
 what the paper compares: the Bell coin under both operators and both 1D
 shifts, the GHZ coin on ``s_3a``, ``s_3b`` and ``s_2d``, the theta0/theta1
-coins, the single Hadamard coin, the maximally correlated (binomial) and
+coins, the single Hadamard coin, the Inui-Konno coin under H x H (a complex
+walk under a real operator), the Bell coin under a custom Grover matrix
+whose entries are complex with zero imaginary parts, the maximally correlated (binomial) and
 ``rho`` classical walks, a ``rho`` walk on moves of step 3 (its gnuplot box
 steps by 3), and the compare and entropy tables.
 
@@ -50,6 +52,10 @@ CONFIGS = {
     "ghz3_s_3a": _quantum("ghz3", "hadamard_n", "s_3a", 60),
     "ghz3_s_3b": _quantum("ghz3", "hadamard_n", "s_3b", 30),
     "ghz3_s_2d": _quantum("ghz3", "hadamard_n", "s_2d", 20),
+    "inui_konno_hadamard_s_ec": _quantum("inui_konno", "hadamard_n", "s_ec", 100),
+    "bell_custom_real_grover_s_ec": _quantum("phi_plus", "custom", "s_ec", 100)
+    + "coin_matrix = (-0.5, 0) (0.5, 0) (0.5, 0) (0.5, 0); (0.5, 0) (-0.5, 0) (0.5, 0) (0.5, 0); "
+    "(0.5, 0) (0.5, 0) (-0.5, 0) (0.5, 0); (0.5, 0) (0.5, 0) (0.5, 0) (-0.5, 0)\n",
     "theta0_s_ec": _quantum("theta0", "hadamard_n", "s_ec", 100),
     "theta1_s_ec": _quantum("theta1", "hadamard_n", "s_ec", 100),
     "single_s_single": _quantum("single_hadamard_bias", "hadamard_n", "s_single", 100),

@@ -6,6 +6,10 @@ the library uses, so shared bugs are unlikely:
 - dense window evolution: explicit kron and permutation matrices over a
   wrapped window of fixed size, instead of the engine's per-column coin
   contraction and slice copies into a growing window;
+- additive evolution: under a tensor-power coin on a shift table of the
+  form c + sum_k b_k a_k, one one-qubit walk per start bit, combined by
+  ``np.convolve`` and summed over the coin state's product terms, instead
+  of the engine's multi-qubit coin over a joint window;
 - entropy via both roots of the 2x2 Gram matrix's characteristic
   polynomial, the Gram matrix formed by a numpy matrix product, instead of
   the library's Cauchy-Binet determinant in plain Python;
@@ -16,6 +20,7 @@ the library uses, so shared bugs are unlikely:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -81,6 +86,80 @@ def dense_evolve(
         if np.any(block != 0):
             out[pos] = block.copy()
     return out
+
+
+def _placed(f: np.ndarray, step: int) -> tuple[np.ndarray, int]:
+    # Amplitudes f over j = 0..n moved to positions step * j: the array over
+    # the positions between 0 and step * n, and the position of its index 0.
+    if step == 0:
+        return f.sum(keepdims=True), 0
+    out = np.zeros(abs(step) * (len(f) - 1) + 1, dtype=complex)
+    out[:: abs(step)] = f if step > 0 else f[::-1]
+    return out, min(0, step * (len(f) - 1))
+
+
+def additive_evolve(
+    coin_amps: np.ndarray,
+    qubit_matrix: np.ndarray,
+    table: tuple[tuple[int, ...], ...],
+    steps: int,
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Evolve under the coin ``qubit_matrix`` on every qubit as a coherent
+    sum of one-qubit walks; for a table c + sum_k b_k a_k only.
+
+    ``table`` holds one displacement per coin basis state, in ket-label
+    order; b_k is the bit of qubit k (k = 0 leftmost) in the coin index.
+    The map |x_1, ..., x_q, b> -> |c t + sum_k x_k, b> takes q one-qubit
+    walks, qubit k's moved by a_k when its bit is 1, onto the joint walk
+    after t steps.  So one walk of ``qubit_matrix`` per start bit, counted
+    in the number j of its moves, gives every factor: qubit k's lands on
+    positions a_k j.  For a product coin state, a coin component's
+    amplitudes are the ``np.convolve`` of its qubits' factors along each
+    axis (the outer product of the axes in 2D); an entangled coin state is
+    the sum of its product terms.  In 2D every a_k must lie on one axis.
+
+    Returns ``(origin, window)``: ``window[b][pos - origin]`` is the
+    ``complex128`` amplitude of coin state b at position pos, over the box
+    of the walk's reachable positions.  A table of another form raises
+    ValueError.
+    """
+    amps = np.asarray(coin_amps, dtype=complex)
+    table = np.array(table, dtype=np.int64).reshape(len(table), -1)
+    n_coin, dims = table.shape
+    q = n_coin.bit_length() - 1
+    bits = (np.arange(n_coin)[:, None] >> np.arange(q - 1, -1, -1)) & 1  # bits[b, k]
+    c = table[0]
+    a = table[1 << np.arange(q - 1, -1, -1)] - c  # a[k]: qubit k's move
+    if not np.array_equal(table, c + bits @ a):
+        raise ValueError(f"table {table.tolist()} is not of the form c + sum_k b_k a_k")
+    if (np.count_nonzero(a, axis=1) > 1).any():
+        raise ValueError(f"qubit moves {a.tolist()} do not each lie on one axis")
+    axis_of = np.argmax(a != 0, axis=1)  # a zero move counts on axis 0
+
+    # phi[s, b, j]: the one-qubit walk from bit s, coin bit b, j moves made
+    phi = np.zeros((2, 2, steps + 1), dtype=complex)
+    phi[0, 0, 0] = phi[1, 1, 0] = 1.0
+    u = np.asarray(qubit_matrix, dtype=complex)
+    for _ in range(steps):
+        phi = u @ phi
+        phi[:, 1] = np.roll(phi[:, 1], 1, axis=-1)  # j = steps is still empty
+
+    def factor(s: int, b: int, axis: int) -> tuple[np.ndarray, int]:
+        # the convolved factors of the qubits that move along ``axis``
+        parts = [_placed(phi[bits[s, k], bits[b, k]], int(a[k, axis]))
+                 for k in range(q) if axis_of[k] == axis]
+        if not parts:
+            return np.ones(1, dtype=complex), 0
+        return functools.reduce(np.convolve, [p for p, _ in parts]), sum(lo for _, lo in parts)
+
+    origin = tuple(int(c[axis]) * steps + factor(0, 0, axis)[1] for axis in range(dims))
+    shape = tuple(len(factor(0, 0, axis)[0]) for axis in range(dims))
+    window = np.zeros((n_coin, *shape), dtype=complex)
+    for s in np.flatnonzero(amps):
+        for b in range(n_coin):
+            planes = [factor(s, b, axis)[0] for axis in range(dims)]
+            window[b] += amps[s] * functools.reduce(np.multiply.outer, planes)
+    return origin, window
 
 
 def gram_entropy(amps: np.ndarray, cut: int, qubits: int) -> float:

@@ -211,7 +211,7 @@ def test_coin_checks_call_no_einsum_or_isfinite(monkeypatch):
         for qubits in (1, 2, 3):
             op = build_coin_operator(kind, qubits)
             assert unitary(op.matrix)
-            assert (op._real_matrix is None) == (kind == "y_n")
+            assert (op.matrix.dtype == np.complex128) == (kind == "y_n")
     for u in unitaries:
         assert unitary(u)
         assert not unitary(u * (1.0 + 1e-9))
@@ -224,6 +224,27 @@ def test_coin_checks_call_no_einsum_or_isfinite(monkeypatch):
         CoinOperator([[1.0, 0.0], [0.0, np.inf]])
     with pytest.raises(ValueError, match="finite"):
         CoinState([np.nan, 0.0])
+
+
+def test_coin_data_is_float64_exactly_when_every_entry_is_real():
+    assert build_initial_coin("phi_plus").amplitudes.dtype == np.float64
+    assert build_initial_coin("inui_konno").amplitudes.dtype == np.complex128
+    for qubits in (1, 2, 3):
+        assert build_coin_operator("hadamard_n", qubits).matrix.dtype == np.float64
+        assert build_coin_operator("y_n", qubits).matrix.dtype == np.complex128
+    # -0.0 is a zero imaginary part
+    half = complex(0.5, -0.0)
+    assert CoinState([half] * 4).amplitudes.dtype == np.float64
+    hadamard = CoinOperator([[complex(x, -0.0) for x in row] for row in HADAMARD])
+    assert hadamard.matrix.dtype == np.float64 and not hadamard.matrix.flags.writeable
+    assert CoinState([half, 0.5, 0.5, 0.5j]).amplitudes.dtype == np.complex128
+    # a float64 coin is the value of its complex entries
+    for real, entries in ((CoinState([0.5] * 4), [half] * 4), (hadamard, HADAMARD.astype(complex))):
+        built = type(real)(entries)
+        assert real == built and hash(real) == hash(built)
+        data = real.amplitudes if isinstance(real, CoinState) else real.matrix
+        assert hash(real) == hash(tuple(np.asarray(entries, dtype=complex).ravel().tolist()))
+        assert np.array_equal(data, np.asarray(entries, dtype=complex))
 
 
 @pytest.mark.parametrize("dim", [2, 4, 8])
@@ -332,6 +353,13 @@ def test_state_norm_past_float64_range_is_inf():
     assert state_norm(site_state(1, 1, {(0,): [1e154, 1e154]})) == math.inf
 
 
+def test_an_overflow_in_entwalk_fails_the_tests():
+    # pyproject.toml turns a RuntimeWarning raised in an entwalk frame into
+    # an error: here numpy's overflow in state_norm's np.square
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        state_norm(site_state(1, 1, {(0,): [1e200, 1e200]}))
+
+
 HUGE = 99999999999999999999999  # past int64: labels must stay Python ints
 
 
@@ -355,6 +383,39 @@ def test_distribution_validates_sum_and_sign():
         )
     with pytest.raises(TypeError):
         Distribution({0: 1.0})  # the mapping form is gone
+
+
+def test_distribution_refuses_offsets_that_do_not_match_its_values():
+    # three offsets for two values: csv used to print only two rows
+    with pytest.raises(ValueError, match=r"^rows do not line up: origin \(0,\), step \(1,\), "
+                                         r"offsets of lengths \[3\] and values of shape \(2,\)$"):
+        _line(0, [0, 1, 2], [0.5, 0.5])
+    with pytest.raises(ValueError, match="rows do not line up"):
+        Distribution(origin=(0, 0), offsets=(np.array([0, 1]), np.array([0])), values=[0.5, 0.5])
+    with pytest.raises(ValueError, match=r"lengths \[1\] and values of shape \(1, 1\)$"):
+        Distribution(origin=(0,), offsets=(np.array([0]),), values=[[1.0]])
+
+
+def test_distribution_refuses_axes_that_do_not_agree():
+    # a 2D origin with one offsets array used to print as a 1D table
+    with pytest.raises(ValueError, match=r"^rows do not line up: origin \(0, 0\), step \(1, 1\), "
+                                         r"offsets of lengths \[2\] and values of shape \(2,\)$"):
+        Distribution(origin=(0, 0), offsets=(np.array([0, 1]),), values=[0.5, 0.5])
+    with pytest.raises(ValueError, match="rows do not line up"):
+        Distribution(origin=(0,), step=(1, 1), offsets=(np.array([0, 1]),), values=[0.5, 0.5])
+    with pytest.raises(ValueError, match="rows do not line up"):
+        Distribution(origin=(0, 0, 0), offsets=(np.array([0]),) * 3, values=[1.0])
+
+
+def test_distribution_refuses_a_step_that_is_not_a_positive_int():
+    # a step of 0 used to print the label 0 twice
+    with pytest.raises(ValueError, match=r"^rows do not line up: origin \(0,\), step \(0,\), "):
+        _line(0, [0, 1], [0.5, 0.5], step=0)
+    with pytest.raises(ValueError, match=r"step \(-2,\)"):
+        _line(0, [0, 1], [0.5, 0.5], step=-2)
+    with pytest.raises(ValueError, match=r"^lattice step must be an int, got 1\.0$"):
+        _line(0, [0, 1], [0.5, 0.5], step=1.0)
+    assert _line(0, [0, 1], [0.5, 0.5], step=np.int64(3)).step == (3,)
 
 
 def test_distribution_labels_its_rows_on_its_lattice():

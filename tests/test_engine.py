@@ -16,7 +16,7 @@ from entwalk.engine import (
     step,
 )
 from entwalk.shifts import _STEP_OVERHEAD, SHIFT_PRESETS, build_shift
-from oracles import dense_evolve
+from oracles import additive_evolve, dense_evolve
 from states import probs, sites
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
@@ -218,6 +218,68 @@ def test_single_qubit_hadamard_walk_matches_dense_oracle():
     # the lopsidedness characteristic of this walk: drift to the right
     d = probs(position_distribution(state))
     assert d[2] > d[-2]
+
+
+# the one-qubit matrices whose tensor powers the operator kinds name
+_QUBIT_MATRICES = {
+    "hadamard_n": [[SQRT1_2, SQRT1_2], [SQRT1_2, -SQRT1_2]],
+    "y_n": [[SQRT1_2, 1j * SQRT1_2], [1j * SQRT1_2, SQRT1_2]],
+}
+
+# every preset combo whose shift is c + sum_k b_k a_k; s_3a and s_2d are not
+ADDITIVE_COMBOS = [combo for combo in ALL_COMBOS if combo[2] not in ("s_3a", "s_2d")]
+
+
+def _assert_matches_additive_oracle(coin, op, shift, steps, table=None):
+    # each position's probability within 4 N eps of the oracle's, over the
+    # same box of the lattice
+    cfg = WalkConfig(**_parts(coin, op, shift, table), steps=steps)
+    state = evolve(cfg)
+    origin, amps = additive_evolve(cfg.coin_state.amplitudes, _QUBIT_MATRICES[op], cfg.shift.table, steps)
+    assert state.amplitudes.origin == origin
+    assert state.amplitudes.window.shape == amps.shape
+    dist = position_distribution(state)
+    got = np.zeros(amps.shape[1:])
+    got[dist.offsets] = dist.values
+    want = (np.square(amps.real) + np.square(amps.imag)).sum(axis=0)
+    deviation = float(np.max(np.abs(got - want)))
+    assert deviation <= 4 * steps * np.finfo(float).eps, deviation
+
+
+def test_additive_combos_are_the_38_preset_combos_off_s_3a_and_s_2d():
+    assert len(ADDITIVE_COMBOS) == 38
+    with pytest.raises(ValueError, match="not of the form"):
+        additive_evolve([1, 0, 0, 0, 0, 0, 0, 0], _QUBIT_MATRICES["hadamard_n"], SHIFT_PRESETS["s_3a"], 1)
+    with pytest.raises(ValueError, match="not of the form"):
+        additive_evolve([1, 0, 0, 0, 0, 0, 0, 0], _QUBIT_MATRICES["hadamard_n"], SHIFT_PRESETS["s_2d"], 1)
+    with pytest.raises(ValueError, match="one axis"):
+        additive_evolve([1, 0], _QUBIT_MATRICES["hadamard_n"], ((1, 1), (0, 0)), 1)
+
+
+@pytest.mark.parametrize("steps", [1, 7, 60])
+def test_engine_matches_additive_oracle_on_every_additive_combo(steps):
+    for combo in ADDITIVE_COMBOS:
+        _assert_matches_additive_oracle(*combo, steps)
+
+
+@pytest.mark.parametrize(
+    "combo",
+    [
+        ("phi_plus", "hadamard_n", "s_ec"),  # float64
+        ("inui_konno", "hadamard_n", "s_ec_prime"),  # complex state, real operator
+        ("phi_plus", "y_n", "s_ec_prime"),  # real state, complex operator
+        ("ghz3", "hadamard_n", "s_3b"),
+    ],
+    ids="-".join,
+)
+def test_engine_matches_additive_oracle_at_a_thousand_steps(combo):
+    _assert_matches_additive_oracle(*combo, 1000)
+
+
+def test_engine_matches_additive_oracle_in_2d():
+    # two walkers, one per axis, each moved by its own qubit of the coin
+    table = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    _assert_matches_additive_oracle("phi_plus", "hadamard_n", "custom", 200, table)
 
 
 def test_position_distribution_sums_to_norm():
